@@ -42,6 +42,7 @@ use privpath_graph::NodeId;
 use privpath_obs::{Histogram, HistogramSnapshot};
 use privpath_serve::{
     AdminRequest, AdminResponse, Client, QueryRequest, QueryResponse, ReleaseRef, Server,
+    StoreHandler,
 };
 use privpath_store::{ReleaseSpec, ReleaseStore};
 use rand::rngs::StdRng;
@@ -142,7 +143,7 @@ fn drive(addr: &str, release: &ReleaseRef, cfg: &Config) -> Result<RunResult, St
                 {
                     // Repeated-source workload: every batch draws all its
                     // pairs from a small pool of sources, the shape the
-                    // planner groups and the store cache slots.
+                    // store cache slots.
                     let source = NodeId::new(rng.gen_range(0..cfg.sources) * 7 % cfg.nodes);
                     let pairs: Vec<(NodeId, NodeId)> = (0..cfg.batch)
                         .map(|_| (source, NodeId::new(rng.gen_range(0..cfg.nodes))))
@@ -251,7 +252,7 @@ fn self_contained_run(cfg: &Config, cache: bool, update_rate: f64) -> Result<Run
     let id = store.publish("load", &spec).map_err(|e| e.to_string())?.id;
 
     let store = Arc::new(store);
-    let running = Server::bind_store("127.0.0.1:0", Arc::clone(&store))
+    let running = Server::bind("127.0.0.1:0", StoreHandler::new(Arc::clone(&store)))
         .map_err(|e| e.to_string())?
         .with_threads(cfg.threads)
         .spawn()

@@ -1,21 +1,22 @@
-//! E17 — serve-path throughput: queries/sec against a `QueryService`
-//! snapshot as reader threads grow.
+//! E17 — serve-path throughput: queries/sec against a frozen release
+//! set as reader threads grow.
 //!
 //! The release-once/query-many architecture means the read path is pure
 //! post-processing over an immutable snapshot, so serving should scale
 //! near-linearly with reader threads until cores run out. This
 //! experiment measures that claim on the production serve path (the
-//! same `answer_one` the TCP server runs per request), on a
+//! same `StoreHandler` the TCP server shares across its workers, here
+//! over the frozen namespace `serve --store-dir` builds), on a
 //! shortest-path release over a G(n, m) road network.
 
 use super::context::Ctx;
 use privpath_bench::{fmt, Table};
 use privpath_core::shortest_path::ShortestPathParams;
 use privpath_dp::Epsilon;
-use privpath_engine::QueryService;
 use privpath_graph::generators::{connected_gnm, uniform_weights};
 use privpath_graph::NodeId;
-use privpath_serve::{answer_one, QueryRequest};
+use privpath_serve::{QueryRequest, StoreHandler};
+use privpath_store::NamespaceSnapshot;
 use rand::Rng;
 use std::time::Instant;
 
@@ -45,6 +46,7 @@ pub fn run(ctx: &Ctx) {
         .expect("release");
     let service = engine.snapshot();
     let id = service.releases().next().expect("one release").id();
+    let handler = StoreHandler::frozen(NamespaceSnapshot::frozen(service));
 
     // A fixed workload with heavy source reuse, identical for every
     // thread count so the comparison is apples to apples.
@@ -69,10 +71,10 @@ pub fn run(ctx: &Ctx) {
         std::thread::scope(|scope| {
             let chunk = requests.len().div_ceil(threads);
             for shard in requests.chunks(chunk) {
-                let service: QueryService = service.clone();
+                let handler = &handler;
                 scope.spawn(move || {
                     for req in shard {
-                        std::hint::black_box(answer_one(&service, req));
+                        std::hint::black_box(handler.answer(req));
                     }
                 });
             }

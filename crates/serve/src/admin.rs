@@ -35,9 +35,9 @@
 //! marker on `update-weights` declares a whole-vector replacement (the
 //! server refuses it unless exactly one weight per edge is carried, so
 //! a truncated file can never silently half-update a namespace); `drop`
-//! without an id drops the whole namespace. A frozen single-snapshot
-//! server — or a live store served read-only — answers every admin verb
-//! with `error unsupported ...`.
+//! without an id drops the whole namespace. A frozen release set —
+//! or a live store served read-only — answers every admin verb with
+//! `error unsupported ...`.
 
 use crate::protocol::{fmt_f64, ErrorCode, ParseLineError};
 use privpath_engine::ReleaseId;

@@ -13,24 +13,26 @@
 //! * [`admin`] — the namespace-scoped write verbs against a live store:
 //!   `publish`, `update-weights`, `drop`, `epoch`, `stats`
 //!   (budget-gated; typed [`AdminRequest`] / [`AdminResponse`]).
-//! * [`planner`] — [`QueryPlan`] groups a mixed request batch by
-//!   `(release, source)` so each group pays one Dijkstra through the
-//!   engine's `distance_batch`, with per-query error isolation.
+//! * [`live`] — [`StoreHandler`], the one request handler: it resolves
+//!   a namespace, then answers against that namespace's immutable
+//!   snapshot. The namespaces are a live
+//!   [`ReleaseStore`](privpath_store::ReleaseStore)'s
+//!   ([`StoreHandler::new`], [`StoreHandler::read_only`]) or one frozen
+//!   release set served read-only as the namespace
+//!   [`FROZEN_NAMESPACE`](privpath_store::FROZEN_NAMESPACE)
+//!   ([`StoreHandler::frozen`]).
 //! * [`server`] — a dependency-free `std::net` TCP server: fixed-size
 //!   worker pool multiplexing connections over a shared
-//!   [`RequestHandler`] backend — a frozen
-//!   [`QueryService`](privpath_engine::QueryService) snapshot
-//!   ([`Server::bind`]) or a live
-//!   [`ReleaseStore`](privpath_store::ReleaseStore)
-//!   ([`Server::bind_store`], see [`live`]) — with per-connection error
+//!   [`StoreHandler`] ([`Server::bind`]), with per-connection error
 //!   isolation and a graceful `shutdown` control line.
 //! * [`client`] — a small blocking client for the same protocol.
 //!
 //! ## Example
 //!
 //! ```
-//! use privpath_engine::{mechanisms, QueryService, ReleaseEngine};
-//! use privpath_serve::{Client, QueryRequest, QueryResponse, Server};
+//! use privpath_engine::{mechanisms, ReleaseEngine};
+//! use privpath_serve::{Client, QueryRequest, QueryResponse, Server, StoreHandler};
+//! use privpath_store::NamespaceSnapshot;
 //! use privpath_core::shortest_path::ShortestPathParams;
 //! use privpath_dp::Epsilon;
 //! use privpath_graph::generators::{path_graph, uniform_weights};
@@ -48,8 +50,10 @@
 //!     &mut rng,
 //! )?;
 //!
-//! // Read path: snapshot, serve over TCP, query from a client.
-//! let server = Server::bind("127.0.0.1:0", engine.snapshot())?.with_threads(2);
+//! // Read path: freeze the releases into one read-only namespace, serve
+//! // it over TCP, query from a client.
+//! let handler = StoreHandler::frozen(NamespaceSnapshot::frozen(engine.snapshot()));
+//! let server = Server::bind("127.0.0.1:0", handler)?.with_threads(2);
 //! let running = server.spawn()?;
 //! let mut client = Client::connect(running.addr())?;
 //! let resp = client.request(&QueryRequest::Distance {
@@ -64,7 +68,6 @@
 //! ));
 //! drop(client);
 //! running.shutdown()?; // graceful: drains connections, returns stats
-
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -74,17 +77,13 @@
 pub mod admin;
 pub mod client;
 pub mod live;
-pub mod planner;
 pub mod protocol;
 pub mod server;
 
 pub use admin::{AdminRequest, AdminResponse, TraceEntry};
 pub use client::{Client, ClientError};
 pub use live::StoreHandler;
-pub use planner::{answer_all, answer_one, PlanGroup, QueryPlan};
 pub use protocol::{
     ErrorCode, ParseLineError, QueryRequest, QueryResponse, ReleaseRef, ReleaseSummary,
 };
-pub use server::{
-    RequestHandler, RunningServer, Server, ServerStats, SnapshotHandler, MAX_LINE_BYTES,
-};
+pub use server::{RunningServer, Server, ServerStats, MAX_LINE_BYTES};

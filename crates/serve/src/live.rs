@@ -1,24 +1,34 @@
-//! The live-store backend: one [`RequestHandler`] fronting a
-//! multi-tenant [`ReleaseStore`].
+//! The one request handler: [`StoreHandler`] answers every verb against
+//! namespaces, whether they come from a live multi-tenant
+//! [`ReleaseStore`] or from one frozen release set.
 //!
 //! Query verbs resolve their namespace first — an explicit `ns/r0`
-//! prefix picks the namespace; a bare `r0` is accepted when the store
-//! has exactly one namespace (the common single-tenant deployment) —
-//! then answer against that namespace's **current snapshot**: an
-//! immutable, epoch-stamped view obtained by one `Arc` clone, so
-//! queries never block on writers and never observe a half-applied
-//! mutation. `distance`/`batch` go through the snapshot's source cache.
+//! prefix picks the namespace; a bare `r0` is accepted when there is
+//! exactly one namespace (the common single-tenant deployment, and
+//! always the case for a frozen set) — then answer against that
+//! namespace's **current snapshot**: an immutable, epoch-stamped view
+//! obtained by one `Arc` clone, so queries never block on writers and
+//! never observe a half-applied mutation. `distance`/`batch` go through
+//! the snapshot's source cache when it has one.
+//!
+//! A frozen release set ([`StoreHandler::frozen`]) is one such snapshot,
+//! named [`FROZEN_NAMESPACE`] and built by
+//! [`NamespaceSnapshot::frozen`]: epoch 0, no cache, no spatial index.
+//! Namespace resolution is the only place it differs from a live store;
+//! every answer is the same code path.
 //!
 //! Admin verbs ([`crate::admin`]) call straight into the store's write
 //! path, which serializes per namespace, debits the namespace budget
-//! before drawing noise, persists, and hot-swaps the snapshot.
+//! before drawing noise, persists, and hot-swaps the snapshot. Read-only
+//! and frozen handlers refuse them.
 
-use crate::admin::{AdminRequest, AdminResponse, TraceEntry};
-use crate::planner::{answer_one, error_bar};
-use crate::protocol::{engine_error_code, ErrorCode, QueryRequest, QueryResponse};
-use crate::server::RequestHandler;
-use privpath_graph::EdgeId;
-use privpath_store::{NamespaceSnapshot, ReleaseStore, SnapError, SpatialIndex, StoreError};
+use crate::admin::{AdminRequest, AdminResponse, TraceEntry, ADMIN_VERBS};
+use crate::protocol::{engine_error_code, ErrorCode, QueryRequest, QueryResponse, ReleaseSummary};
+use privpath_engine::{EngineError, QueryService, ReleaseId, DEFAULT_GAMMA};
+use privpath_graph::{EdgeId, NodeId};
+use privpath_store::{
+    NamespaceSnapshot, ReleaseStore, SnapError, SpatialIndex, StoreError, FROZEN_NAMESPACE,
+};
 use std::sync::Arc;
 
 /// The query request verbs, for dispatch before parsing.
@@ -35,9 +45,20 @@ pub(crate) const QUERY_VERBS: [&str; 10] = [
     "metrics",
 ];
 
-/// A [`RequestHandler`] over a live [`ReleaseStore`].
+/// Where a handler's namespaces come from.
+enum Namespaces {
+    /// Every namespace of a live store, at its current snapshot.
+    Live(Arc<ReleaseStore>),
+    /// One frozen release set, served as the namespace
+    /// [`FROZEN_NAMESPACE`].
+    Frozen(Arc<NamespaceSnapshot>),
+}
+
+/// Answers request lines — query verbs and admin verbs — against a live
+/// [`ReleaseStore`] or a frozen release set. Shared by every worker
+/// thread of a [`Server`](crate::Server).
 pub struct StoreHandler {
-    store: Arc<ReleaseStore>,
+    namespaces: Namespaces,
     admin_enabled: bool,
 }
 
@@ -47,7 +68,7 @@ impl StoreHandler {
     /// handler to an operator-local endpoint only (see [`crate::admin`]).
     pub fn new(store: Arc<ReleaseStore>) -> Self {
         StoreHandler {
-            store,
+            namespaces: Namespaces::Live(store),
             admin_enabled: true,
         }
     }
@@ -60,36 +81,51 @@ impl StoreHandler {
     /// does exactly that).
     pub fn read_only(store: Arc<ReleaseStore>) -> Self {
         StoreHandler {
-            store,
+            namespaces: Namespaces::Live(store),
             admin_enabled: false,
         }
     }
 
-    /// The store being served.
-    pub fn store(&self) -> &Arc<ReleaseStore> {
-        &self.store
+    /// Serves one frozen release set (see [`NamespaceSnapshot::frozen`])
+    /// as the single read-only namespace [`FROZEN_NAMESPACE`]: refs
+    /// answer bare (`r0`) or qualified (`frozen/r0`), any other
+    /// namespace is `unknown-release`, geo verbs are `unsupported` (no
+    /// spatial index), and admin verbs are refused as on
+    /// [`read_only`](Self::read_only).
+    pub fn frozen(snapshot: NamespaceSnapshot) -> Self {
+        StoreHandler {
+            namespaces: Namespaces::Frozen(Arc::new(snapshot)),
+            admin_enabled: false,
+        }
     }
 
     /// Resolves an optional namespace qualifier to a snapshot: explicit
-    /// names must exist; a bare ref works only on a single-tenant store.
+    /// names must exist; a bare ref works only when there is exactly one
+    /// namespace.
     fn resolve(&self, namespace: Option<&str>) -> Result<Arc<NamespaceSnapshot>, QueryResponse> {
         let not_found = |msg: String| QueryResponse::Error {
             code: ErrorCode::UnknownRelease,
             message: msg,
         };
+        let store = match &self.namespaces {
+            Namespaces::Live(store) => store,
+            Namespaces::Frozen(snap) => {
+                return match namespace {
+                    None | Some(FROZEN_NAMESPACE) => Ok(Arc::clone(snap)),
+                    Some(ns) => Err(not_found(format!(
+                        "no namespace {ns:?} on this server (its only namespace is \
+                         {FROZEN_NAMESPACE:?})"
+                    ))),
+                };
+            }
+        };
         match namespace {
-            Some(ns) => self
-                .store
-                .snapshot(ns)
-                .map_err(|e| not_found(e.to_string())),
+            Some(ns) => store.snapshot(ns).map_err(|e| not_found(e.to_string())),
             None => {
-                let names = self.store.namespaces();
+                let names = store.namespaces();
                 match names.as_slice() {
                     [] => Err(not_found("the store has no namespaces yet".into())),
-                    [only] => self
-                        .store
-                        .snapshot(only)
-                        .map_err(|e| not_found(e.to_string())),
+                    [only] => store.snapshot(only).map_err(|e| not_found(e.to_string())),
                     _ => Err(not_found(format!(
                         "this store is multi-tenant ({}); qualify the release as \
                          <namespace>/r<N>",
@@ -100,7 +136,74 @@ impl StoreHandler {
         }
     }
 
-    fn answer_query(&self, req: &QueryRequest) -> QueryResponse {
+    /// The store admin verbs mutate, or `None` on a read-only or frozen
+    /// handler.
+    fn admin_store(&self) -> Option<&ReleaseStore> {
+        match &self.namespaces {
+            Namespaces::Live(store) if self.admin_enabled => Some(store),
+            _ => None,
+        }
+    }
+
+    /// Answers one trimmed, non-empty request line with one response
+    /// line (no trailing newline). The server handles framing, the
+    /// `shutdown` control line, and connection lifecycle.
+    pub fn handle(&self, line: &str) -> String {
+        let verb = line.split_whitespace().next().unwrap_or_default();
+        if QUERY_VERBS.contains(&verb) {
+            // Span op names come from the known-verb set (compile-time
+            // constants), never from raw client bytes.
+            let mut span = privpath_obs::Span::enter(crate::server::known_verb(line));
+            match line.parse::<QueryRequest>() {
+                Ok(req) => {
+                    span.phase("parse");
+                    let resp = self.answer(&req);
+                    span.phase("search");
+                    let rendered = resp.to_string();
+                    span.phase("encode");
+                    rendered
+                }
+                Err(e) => QueryResponse::Error {
+                    code: ErrorCode::Malformed,
+                    message: e.to_string(),
+                }
+                .to_string(),
+            }
+        } else if ADMIN_VERBS.contains(&verb) {
+            let Some(store) = self.admin_store() else {
+                return AdminResponse::Error {
+                    code: ErrorCode::Unsupported,
+                    message: format!(
+                        "`{verb}` refused: this endpoint is read-only (admin verbs \
+                         live on a live store's operator-local admin endpoint)"
+                    ),
+                }
+                .to_string();
+            };
+            match line.parse::<AdminRequest>() {
+                Ok(req) => answer_admin(store, &req).to_string(),
+                Err(e) => AdminResponse::Error {
+                    code: ErrorCode::Malformed,
+                    message: e.to_string(),
+                }
+                .to_string(),
+            }
+        } else {
+            QueryResponse::Error {
+                code: ErrorCode::Malformed,
+                message: format!(
+                    "unknown verb {verb:?} (query: {}; admin: {})",
+                    QUERY_VERBS.join(", "),
+                    ADMIN_VERBS.join(", ")
+                ),
+            }
+            .to_string()
+        }
+    }
+
+    /// Answers one typed query request: the in-process form of
+    /// [`handle`](Self::handle) for query verbs.
+    pub fn answer(&self, req: &QueryRequest) -> QueryResponse {
         match req {
             QueryRequest::Distance {
                 release,
@@ -144,12 +247,10 @@ impl StoreHandler {
                     Ok(s) => s,
                     Err(resp) => return resp,
                 };
-                let local = QueryRequest::Path {
-                    release: release.strip_namespace(),
-                    from: *from,
-                    to: *to,
-                };
-                answer_one(snap.service(), &local)
+                match route(snap.service(), release.id(), *from, *to) {
+                    Ok(nodes) => QueryResponse::Path(nodes),
+                    Err(resp) => resp,
+                }
             }
             QueryRequest::GeoDistance {
                 release,
@@ -196,18 +297,13 @@ impl StoreHandler {
                     (Ok(a), Ok(b)) => (a, b),
                     (Err(e), _) | (_, Err(e)) => return snap_error(&e),
                 };
-                let local = QueryRequest::Path {
-                    release: release.strip_namespace(),
-                    from: su.node,
-                    to: sv.node,
-                };
-                match answer_one(snap.service(), &local) {
-                    QueryResponse::Path(nodes) => QueryResponse::GeoRoute {
+                match route(snap.service(), release.id(), su.node, sv.node) {
+                    Ok(nodes) => QueryResponse::GeoRoute {
                         from: su.node,
                         to: sv.node,
                         nodes,
                     },
-                    other => other,
+                    Err(resp) => resp,
                 }
             }
             QueryRequest::GeoBatch {
@@ -251,20 +347,28 @@ impl StoreHandler {
                     Ok(s) => s,
                     Err(resp) => return resp,
                 };
-                let local = QueryRequest::Accuracy {
-                    release: release.strip_namespace(),
-                    gamma: *gamma,
-                };
-                answer_one(snap.service(), &local)
+                match snap.service().accuracy(release.id(), *gamma) {
+                    Ok(bound) => QueryResponse::Accuracy(bound),
+                    Err(e) => QueryResponse::from_engine_error(&e),
+                }
             }
             QueryRequest::ListReleases { namespace } => {
                 let snap = match self.resolve(namespace.as_deref()) {
                     Ok(s) => s,
                     Err(resp) => return resp,
                 };
-                answer_one(
-                    snap.service(),
-                    &QueryRequest::ListReleases { namespace: None },
+                QueryResponse::Releases(
+                    snap.service()
+                        .releases()
+                        .map(|r| ReleaseSummary {
+                            id: r.id(),
+                            kind: r.kind(),
+                            eps: r.eps(),
+                            delta: r.delta(),
+                            num_nodes: r.release().as_distance().map(|o| o.num_nodes()),
+                            accuracy: r.error_bound(DEFAULT_GAMMA),
+                        })
+                        .collect(),
                 )
             }
             QueryRequest::BudgetStatus { namespace } => {
@@ -272,10 +376,12 @@ impl StoreHandler {
                     Ok(s) => s,
                     Err(resp) => return resp,
                 };
-                answer_one(
-                    snap.service(),
-                    &QueryRequest::BudgetStatus { namespace: None },
-                )
+                let (spent_eps, spent_delta) = snap.service().spent();
+                QueryResponse::Budget {
+                    spent_eps,
+                    spent_delta,
+                    remaining: snap.service().remaining(),
+                }
             }
             // Telemetry is process-wide, not namespace-scoped; answer
             // straight from the global registry without resolving.
@@ -284,95 +390,94 @@ impl StoreHandler {
             },
         }
     }
+}
 
-    fn answer_admin(&self, req: &AdminRequest) -> AdminResponse {
-        match req {
-            AdminRequest::Publish { namespace, spec } => {
-                match self.store.publish(namespace, spec) {
-                    Ok(r) => AdminResponse::Published {
-                        namespace: r.namespace,
-                        id: r.id,
-                        epoch: r.epoch,
-                        eps: r.eps,
-                        delta: r.delta,
-                    },
-                    Err(e) => admin_error(&e),
-                }
+/// Answers one admin request against the store it mutates.
+fn answer_admin(store: &ReleaseStore, req: &AdminRequest) -> AdminResponse {
+    match req {
+        AdminRequest::Publish { namespace, spec } => match store.publish(namespace, spec) {
+            Ok(r) => AdminResponse::Published {
+                namespace: r.namespace,
+                id: r.id,
+                epoch: r.epoch,
+                eps: r.eps,
+                delta: r.delta,
+            },
+            Err(e) => admin_error(&e),
+        },
+        AdminRequest::UpdateWeights {
+            namespace,
+            updates,
+            full,
+        } => {
+            let updates: Vec<(EdgeId, f64)> =
+                updates.iter().map(|&(e, w)| (EdgeId::new(e), w)).collect();
+            let outcome = if *full {
+                store.update_weights_full(namespace, &updates)
+            } else {
+                store.update_weights_sparse(namespace, &updates)
+            };
+            match outcome {
+                Ok(r) => AdminResponse::Updated {
+                    namespace: r.namespace,
+                    epoch: r.epoch,
+                    rereleased: r.rereleased,
+                    eps: r.eps,
+                    delta: r.delta,
+                },
+                Err(e) => admin_error(&e),
             }
-            AdminRequest::UpdateWeights {
-                namespace,
-                updates,
-                full,
-            } => {
-                let updates: Vec<(EdgeId, f64)> =
-                    updates.iter().map(|&(e, w)| (EdgeId::new(e), w)).collect();
-                let outcome = if *full {
-                    self.store.update_weights_full(namespace, &updates)
-                } else {
-                    self.store.update_weights_sparse(namespace, &updates)
-                };
-                match outcome {
-                    Ok(r) => AdminResponse::Updated {
-                        namespace: r.namespace,
-                        epoch: r.epoch,
-                        rereleased: r.rereleased,
-                        eps: r.eps,
-                        delta: r.delta,
-                    },
-                    Err(e) => admin_error(&e),
-                }
-            }
-            AdminRequest::Drop {
-                namespace,
-                release: Some(id),
-            } => match self.store.drop_release(namespace, *id) {
-                Ok(epoch) => AdminResponse::Dropped {
-                    namespace: namespace.clone(),
-                    release: Some(*id),
-                    epoch: Some(epoch),
-                },
-                Err(e) => admin_error(&e),
-            },
-            AdminRequest::Drop {
-                namespace,
-                release: None,
-            } => match self.store.drop_namespace(namespace) {
-                Ok(()) => AdminResponse::Dropped {
-                    namespace: namespace.clone(),
-                    release: None,
-                    epoch: None,
-                },
-                Err(e) => admin_error(&e),
-            },
-            AdminRequest::Epoch { namespace } => match self.store.epoch(namespace) {
-                Ok(epoch) => AdminResponse::Epoch {
-                    namespace: namespace.clone(),
-                    epoch,
-                },
-                Err(e) => admin_error(&e),
-            },
-            AdminRequest::Stats { namespace } => match namespace {
-                Some(ns) => match self.store.stats_for(ns) {
-                    Ok(s) => AdminResponse::Stats(vec![s]),
-                    Err(e) => admin_error(&e),
-                },
-                None => AdminResponse::Stats(self.store.stats()),
-            },
-            AdminRequest::Trace { limit } => AdminResponse::Traces(
-                privpath_obs::recent_traces(*limit)
-                    .into_iter()
-                    .map(|t| TraceEntry {
-                        op: t.op.to_string(),
-                        total_us: t.total_us,
-                        phases: t
-                            .phases
-                            .iter()
-                            .map(|&(name, us)| (name.to_string(), us))
-                            .collect(),
-                    })
-                    .collect(),
-            ),
         }
+        AdminRequest::Drop {
+            namespace,
+            release: Some(id),
+        } => match store.drop_release(namespace, *id) {
+            Ok(epoch) => AdminResponse::Dropped {
+                namespace: namespace.clone(),
+                release: Some(*id),
+                epoch: Some(epoch),
+            },
+            Err(e) => admin_error(&e),
+        },
+        AdminRequest::Drop {
+            namespace,
+            release: None,
+        } => match store.drop_namespace(namespace) {
+            Ok(()) => AdminResponse::Dropped {
+                namespace: namespace.clone(),
+                release: None,
+                epoch: None,
+            },
+            Err(e) => admin_error(&e),
+        },
+        AdminRequest::Epoch { namespace } => match store.epoch(namespace) {
+            Ok(epoch) => AdminResponse::Epoch {
+                namespace: namespace.clone(),
+                epoch,
+            },
+            Err(e) => admin_error(&e),
+        },
+        AdminRequest::Stats { namespace } => match namespace {
+            Some(ns) => match store.stats_for(ns) {
+                Ok(s) => AdminResponse::Stats(vec![s]),
+                Err(e) => admin_error(&e),
+            },
+            None => AdminResponse::Stats(store.stats()),
+        },
+        AdminRequest::Trace { limit } => AdminResponse::Traces(
+            privpath_obs::recent_traces(*limit)
+                .into_iter()
+                .map(|t| TraceEntry {
+                    op: t.op.to_string(),
+                    total_us: t.total_us,
+                    phases: t
+                        .phases
+                        .iter()
+                        .map(|&(name, us)| (name.to_string(), us))
+                        .collect(),
+                })
+                .collect(),
+        ),
     }
 }
 
@@ -387,6 +492,48 @@ fn geo_index(snap: &NamespaceSnapshot) -> Result<&SpatialIndex, QueryResponse> {
             snap.namespace()
         ),
     })
+}
+
+/// The released route between two nodes, or the error answer (a
+/// value-only release carries no routes).
+fn route(
+    service: &QueryService,
+    release: ReleaseId,
+    from: NodeId,
+    to: NodeId,
+) -> Result<Vec<NodeId>, QueryResponse> {
+    let oracle = service
+        .query(release)
+        .map_err(|e| QueryResponse::from_engine_error(&e))?;
+    match oracle.path(from, to) {
+        Some(Ok(path)) => Ok(path.nodes().to_vec()),
+        Some(Err(e)) => Err(QueryResponse::from_engine_error(&e)),
+        None => Err(QueryResponse::Error {
+            code: ErrorCode::Unsupported,
+            message: format!("release {release} does not carry routes (value-only release)"),
+        }),
+    }
+}
+
+/// The error bar for a distance/batch request that asked for one.
+///
+/// Lenient on contract availability — a bar-less answer is still an
+/// answer, so a release without a contract (or an unknown id, which the
+/// distance query itself will report) yields `Ok(None)`. Strict on the
+/// input — an invalid `gamma` fails the request, exactly as it fails an
+/// `accuracy` request, instead of being silently indistinguishable from
+/// "no contract".
+fn error_bar(
+    service: &QueryService,
+    release: ReleaseId,
+    gamma: Option<f64>,
+) -> Result<Option<f64>, QueryResponse> {
+    let Some(g) = gamma else { return Ok(None) };
+    match service.accuracy(release, g) {
+        Ok(bound) => Ok(Some(bound.alpha())),
+        Err(EngineError::UnsupportedQuery { .. }) | Err(EngineError::UnknownRelease(_)) => Ok(None),
+        Err(e) => Err(QueryResponse::from_engine_error(&e)),
+    }
 }
 
 /// Maps a snap refusal onto a wire error: a coordinate outside the
@@ -438,60 +585,5 @@ fn admin_error(e: &StoreError) -> AdminResponse {
     AdminResponse::Error {
         code,
         message: e.to_string(),
-    }
-}
-
-impl RequestHandler for StoreHandler {
-    fn handle(&self, line: &str) -> String {
-        let verb = line.split_whitespace().next().unwrap_or_default();
-        if QUERY_VERBS.contains(&verb) {
-            // Span op names come from the known-verb set (compile-time
-            // constants), never from raw client bytes.
-            let mut span = privpath_obs::Span::enter(crate::server::known_verb(line));
-            match line.parse::<QueryRequest>() {
-                Ok(req) => {
-                    span.phase("parse");
-                    let resp = self.answer_query(&req);
-                    span.phase("search");
-                    let rendered = resp.to_string();
-                    span.phase("encode");
-                    rendered
-                }
-                Err(e) => QueryResponse::Error {
-                    code: ErrorCode::Malformed,
-                    message: e.to_string(),
-                }
-                .to_string(),
-            }
-        } else if crate::admin::ADMIN_VERBS.contains(&verb) {
-            if !self.admin_enabled {
-                return AdminResponse::Error {
-                    code: ErrorCode::Unsupported,
-                    message: format!(
-                        "`{verb}` refused: this endpoint serves the store read-only \
-                         (admin verbs live on the operator-local admin endpoint)"
-                    ),
-                }
-                .to_string();
-            }
-            match line.parse::<AdminRequest>() {
-                Ok(req) => self.answer_admin(&req).to_string(),
-                Err(e) => AdminResponse::Error {
-                    code: ErrorCode::Malformed,
-                    message: e.to_string(),
-                }
-                .to_string(),
-            }
-        } else {
-            QueryResponse::Error {
-                code: ErrorCode::Malformed,
-                message: format!(
-                    "unknown verb {verb:?} (query: distance, batch, path, geo-distance, \
-                     geo-route, geo-batch, accuracy, list, budget, metrics; admin: \
-                     publish, update-weights, drop, epoch, stats, trace)"
-                ),
-            }
-            .to_string()
-        }
     }
 }

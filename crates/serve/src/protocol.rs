@@ -32,7 +32,7 @@
 //! `ref` is a [`ReleaseRef`]: a [`ReleaseId`] in its `r<N>` display form,
 //! optionally prefixed by a namespace (`city/r0`) when the server fronts
 //! a multi-tenant live store ([admin verbs](crate::admin) manage the
-//! namespaces; a frozen single-snapshot server rejects namespaced refs).
+//! namespaces; a frozen release set is the one namespace `frozen`).
 //! `list`/`budget` take the namespace as an optional trailing argument
 //! for the same reason. `nodes` in a release record is a vertex count or
 //! `-` for kinds without a distance surface. Distance values may be `inf` — the uniform unreachable-target
@@ -61,8 +61,9 @@
 //! the query actually resolved to. Coordinates must be finite (a NaN
 //! or infinite value is `malformed`); a coordinate outside the
 //! network's snap bounds is refused with `out-of-range` rather than
-//! snapped to a far-away boundary node. Frozen single-snapshot servers
-//! carry no index and answer every geo verb with `unsupported`.
+//! snapped to a far-away boundary node. A namespace without an index
+//! (a frozen release set among them) answers every geo verb with
+//! `unsupported`.
 
 use privpath_engine::{EngineError, ErrorBound, ReleaseId, ReleaseKind, Theorem};
 use privpath_graph::NodeId;
@@ -72,7 +73,7 @@ use std::str::FromStr;
 
 /// A reference to a release: its registry id, optionally qualified by
 /// the namespace that owns it (live-store servers are multi-tenant; a
-/// frozen snapshot server serves exactly one unnamed release set).
+/// bare ref resolves on a server with exactly one namespace).
 ///
 /// Renders as `r3` or `city/r3` and parses back from the same forms:
 ///
@@ -91,7 +92,8 @@ pub struct ReleaseRef {
 }
 
 impl ReleaseRef {
-    /// A reference within the server's single (unnamed) release set.
+    /// An unqualified reference, resolved against the server's only
+    /// namespace.
     pub fn local(id: ReleaseId) -> Self {
         ReleaseRef {
             namespace: None,
@@ -125,12 +127,6 @@ impl ReleaseRef {
     /// The registry id.
     pub fn id(&self) -> ReleaseId {
         self.id
-    }
-
-    /// The same id without its namespace qualifier (for answering
-    /// against an already-resolved snapshot).
-    pub fn strip_namespace(&self) -> Self {
-        ReleaseRef::local(self.id)
     }
 }
 
@@ -246,21 +242,19 @@ pub enum QueryRequest {
         /// The failure probability to evaluate the contract at.
         gamma: f64,
     },
-    /// Metadata for every release in the snapshot (of one namespace, on
-    /// a live-store server).
+    /// Metadata for every release in one namespace's snapshot.
     ListReleases {
         /// The namespace to list, when the server is multi-tenant.
         namespace: Option<String>,
     },
-    /// The frozen ledger totals of the snapshot (of one namespace, on a
-    /// live-store server).
+    /// The ledger totals of one namespace's snapshot.
     BudgetStatus {
         /// The namespace to report, when the server is multi-tenant.
         namespace: Option<String>,
     },
     /// The process-wide metric registry in Prometheus text exposition
     /// format. Read-only telemetry: answered by live stores, read-only
-    /// endpoints, **and** frozen-snapshot servers alike. Every exported
+    /// endpoints, **and** frozen release sets alike. Every exported
     /// value is a function of public data (counts, timings, epochs) —
     /// the `metrics-taint` lint rule machine-checks that nothing
     /// weight- or noise-derived can be recorded.

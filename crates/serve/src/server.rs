@@ -1,17 +1,18 @@
-//! A dependency-free TCP server over any line-answering backend.
+//! A dependency-free TCP server over a [`StoreHandler`].
 //!
 //! Built on `std::net` only (no async runtime): an accept loop feeds a
 //! fixed-size pool of worker threads over a channel; each worker shares
-//! the backend (an `Arc` bump) and **multiplexes every connection handed
+//! the handler (an `Arc` bump) and **multiplexes every connection handed
 //! to it** with nonblocking reads, so a worker is never parked on one
 //! idle client while others wait. Connections speak the line protocol of
 //! [`crate::protocol`]: one request per line, one response line back.
 //!
-//! The backend is a [`RequestHandler`]: either a frozen
-//! [`QueryService`] snapshot ([`Server::bind`], query verbs only) or a
-//! live multi-tenant [`ReleaseStore`](privpath_store::ReleaseStore)
-//! ([`Server::bind_store`], query verbs with namespace refs plus the
-//! [admin verbs](crate::admin)).
+//! There is one way to serve: [`Server::bind`] takes a [`StoreHandler`]
+//! over a live multi-tenant
+//! [`ReleaseStore`](privpath_store::ReleaseStore) (query verbs with
+//! namespace refs, plus the [admin verbs](crate::admin) unless the
+//! handler is read-only) or over a frozen release set
+//! ([`StoreHandler::frozen`], one read-only namespace).
 //!
 //! Three properties the serving story needs:
 //!
@@ -30,11 +31,8 @@
 
 use crate::admin::ADMIN_VERBS;
 use crate::live::{StoreHandler, QUERY_VERBS};
-use crate::planner::answer_one;
-use crate::protocol::{ErrorCode, QueryRequest, QueryResponse};
-use privpath_engine::QueryService;
-use privpath_obs::{Counter, MetricRegistry, Span};
-use privpath_store::ReleaseStore;
+use crate::protocol::{ErrorCode, QueryResponse};
+use privpath_obs::{Counter, MetricRegistry};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -42,63 +40,6 @@ use std::sync::mpsc::{self, Receiver, TryRecvError};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// A server backend: answers one trimmed, non-empty request line with
-/// one response line (no trailing newline). The server handles framing,
-/// the `shutdown` control line, and connection lifecycle; handlers are
-/// shared across worker threads.
-pub trait RequestHandler: Send + Sync + 'static {
-    /// Answers one request line.
-    fn handle(&self, line: &str) -> String;
-}
-
-/// The frozen-snapshot backend: query verbs against one
-/// [`QueryService`]; admin verbs are refused (there is nothing to
-/// mutate).
-pub struct SnapshotHandler {
-    service: QueryService,
-}
-
-impl SnapshotHandler {
-    /// Wraps a snapshot.
-    pub fn new(service: QueryService) -> Self {
-        SnapshotHandler { service }
-    }
-}
-
-impl RequestHandler for SnapshotHandler {
-    fn handle(&self, line: &str) -> String {
-        let verb = line.split_whitespace().next().unwrap_or_default();
-        let mut span = Span::enter(known_verb(line));
-        let response = if ADMIN_VERBS.contains(&verb) {
-            // Admin verbs never overlap query verbs: refuse with a
-            // pointed message rather than "unknown verb".
-            QueryResponse::Error {
-                code: ErrorCode::Unsupported,
-                message: format!(
-                    "`{verb}` is a live-store admin verb; this server serves a \
-                     frozen snapshot (start one with `serve --store`)"
-                ),
-            }
-        } else {
-            match line.parse::<QueryRequest>() {
-                Ok(req) => {
-                    span.phase("parse");
-                    let resp = answer_one(&self.service, &req);
-                    span.phase("search");
-                    resp
-                }
-                Err(e) => QueryResponse::Error {
-                    code: ErrorCode::Malformed,
-                    message: e.to_string(),
-                },
-            }
-        };
-        let rendered = response.to_string();
-        span.phase("encode");
-        rendered
-    }
-}
 
 /// The acknowledgement line sent for the `shutdown` control command.
 pub const SHUTDOWN_ACK: &str = "ok shutdown";
@@ -206,43 +147,20 @@ fn record_request(verb: &'static str, request_bytes: usize, response: &str, seco
 /// A bound-but-not-yet-running query server.
 pub struct Server {
     listener: TcpListener,
-    handler: Arc<dyn RequestHandler>,
+    handler: Arc<StoreHandler>,
     threads: usize,
 }
 
 impl Server {
     /// Binds to `addr` (use port 0 for an OS-assigned ephemeral port)
-    /// serving a frozen [`QueryService`] snapshot, with a default pool
-    /// of 4 worker threads.
+    /// serving `handler`, with a default pool of 4 worker threads.
     ///
     /// # Errors
     /// Propagates the bind failure.
-    pub fn bind(addr: impl ToSocketAddrs, service: QueryService) -> io::Result<Self> {
-        Self::bind_handler(addr, Arc::new(SnapshotHandler::new(service)))
-    }
-
-    /// Binds to `addr` serving a **live store**: query verbs resolve
-    /// namespace-qualified refs against the store's current snapshots
-    /// (through the read-path cache), and the [admin verbs](crate::admin)
-    /// mutate it.
-    ///
-    /// # Errors
-    /// Propagates the bind failure.
-    pub fn bind_store(addr: impl ToSocketAddrs, store: Arc<ReleaseStore>) -> io::Result<Self> {
-        Self::bind_handler(addr, Arc::new(StoreHandler::new(store)))
-    }
-
-    /// Binds to `addr` over any [`RequestHandler`] backend.
-    ///
-    /// # Errors
-    /// Propagates the bind failure.
-    pub fn bind_handler(
-        addr: impl ToSocketAddrs,
-        handler: Arc<dyn RequestHandler>,
-    ) -> io::Result<Self> {
+    pub fn bind(addr: impl ToSocketAddrs, handler: StoreHandler) -> io::Result<Self> {
         Ok(Server {
             listener: TcpListener::bind(addr)?,
-            handler,
+            handler: Arc::new(handler),
             threads: 4,
         })
     }
@@ -386,7 +304,7 @@ enum ConnState {
 /// so one idle client never parks the thread.
 fn worker_loop(
     rx: &Mutex<Receiver<(TcpStream, Instant)>>,
-    handler: &dyn RequestHandler,
+    handler: &StoreHandler,
     shutdown: &AtomicBool,
     counters: &Counters,
 ) {
@@ -476,7 +394,7 @@ const MAX_LINES_PER_PASS: usize = 64;
 /// fully idle pass).
 fn service_conn(
     conn: &mut Conn,
-    handler: &dyn RequestHandler,
+    handler: &StoreHandler,
     shutdown: &AtomicBool,
     counters: &Counters,
 ) -> (ConnState, bool) {
@@ -530,7 +448,7 @@ fn service_conn(
 fn handle_line(
     raw: &[u8],
     stream: &TcpStream,
-    handler: &dyn RequestHandler,
+    handler: &StoreHandler,
     shutdown: &AtomicBool,
     counters: &Counters,
 ) -> io::Result<bool> {

@@ -103,7 +103,7 @@ pub use error::StoreError;
 pub use spec::{is_continual_servable, is_storable, ReleaseSpec};
 pub use store::{
     is_valid_namespace, NamespaceSnapshot, NamespaceStats, PublishReceipt, ReleaseStore,
-    UpdateReceipt,
+    UpdateReceipt, FROZEN_NAMESPACE,
 };
 // Re-exported so the serve layer (and embedders) can snap and type geo
 // results without a direct dependency on the geo crate.

@@ -89,6 +89,10 @@ pub fn is_valid_namespace(name: &str) -> bool {
             .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
 }
 
+/// The namespace name of a [`NamespaceSnapshot::frozen`] release set:
+/// its releases answer as `frozen/r0` as well as bare `r0`.
+pub const FROZEN_NAMESPACE: &str = "frozen";
+
 /// An immutable, epoch-stamped view of one namespace's releases.
 ///
 /// Obtained from [`ReleaseStore::snapshot`]; shared by `Arc`, so holding
@@ -109,6 +113,23 @@ pub struct NamespaceSnapshot {
 }
 
 impl NamespaceSnapshot {
+    /// A snapshot over a frozen release set (for example one loaded with
+    /// [`QueryService::from_stored`]), outside any store: named
+    /// [`FROZEN_NAMESPACE`], epoch 0, no source cache, no spatial index
+    /// and no continual stream. Every read answers straight from the
+    /// releases, so serving it does the same work as querying the
+    /// [`QueryService`] directly.
+    pub fn frozen(service: QueryService) -> Self {
+        NamespaceSnapshot {
+            namespace: FROZEN_NAMESPACE.to_string(),
+            epoch: 0,
+            service,
+            cache: None,
+            continual: None,
+            geo: None,
+        }
+    }
+
     /// The namespace this snapshot belongs to.
     pub fn namespace(&self) -> &str {
         &self.namespace

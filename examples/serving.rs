@@ -1,15 +1,16 @@
 //! Serving: the write-path/read-path split, end to end over TCP.
 //!
 //! A `ReleaseEngine` (exclusive write path) releases two private
-//! distance products once under a tracked budget; a `QueryService`
-//! snapshot (shared read path) then serves them from a thread-pooled
-//! TCP server, and clients query over the line protocol — every answer
-//! pure post-processing, free of further privacy cost.
+//! distance products once under a tracked budget; its `QueryService`
+//! snapshot (shared read path) is frozen into one read-only namespace
+//! and served by the same `StoreHandler` a live store uses — first
+//! in-process, then from a thread-pooled TCP server that clients query
+//! over the line protocol. Every answer is pure post-processing, free
+//! of further privacy cost.
 //!
 //! Run with: `cargo run --release --example serving`
 
 use privpath::prelude::*;
-use privpath::serve::answer_all;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -37,12 +38,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // -- Read path: snapshot and serve. ---------------------------------
     // The snapshot is immutable and Send + Sync; the engine could keep
-    // releasing (later snapshots would include the new releases).
-    let service = engine.snapshot();
+    // releasing (later snapshots would include the new releases). Frozen,
+    // it is the one namespace `frozen`: refs answer bare (`r0`) or
+    // qualified (`frozen/r0`).
+    let handler = StoreHandler::frozen(NamespaceSnapshot::frozen(engine.snapshot()));
 
-    // In-process batch serving through the query planner: a mixed batch
-    // is grouped by (release, source) so each group pays one Dijkstra.
-    let batch = vec![
+    // In-process serving: the typed requests the TCP server answers per
+    // line, answered directly by the handler.
+    let requests = [
         QueryRequest::Distance {
             release: sp.into(),
             from: NodeId::new(0),
@@ -58,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             gamma: None,
         },
         QueryRequest::Distance {
-            release: sp.into(),
+            release: ReleaseRef::namespaced("frozen", sp)?,
             from: NodeId::new(0),
             to: NodeId::new(63),
             gamma: Some(0.05),
@@ -69,13 +72,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         QueryRequest::BudgetStatus { namespace: None },
     ];
-    for (req, resp) in batch.iter().zip(answer_all(&service, &batch)) {
-        println!("  {req}  ->  {resp}");
+    for req in &requests {
+        println!("  {req}  ->  {}", handler.answer(req));
     }
 
     // Over TCP: a dependency-free thread-pooled server on an ephemeral
     // port, queried by four concurrent clients.
-    let running = Server::bind("127.0.0.1:0", service)?
+    let running = Server::bind("127.0.0.1:0", handler)?
         .with_threads(4)
         .spawn()?;
     let addr = running.addr();

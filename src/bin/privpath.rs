@@ -22,9 +22,10 @@ use privpath::graph::generators::{random_geometric_graph, random_tree_prufer, un
 use privpath::graph::io::{read_topology, read_weights, write_topology, write_weights};
 use privpath::prelude::*;
 use privpath::serve::{
-    AdminRequest, AdminResponse, Client, QueryRequest, QueryResponse, ReleaseRef, Server,
+    AdminRequest, AdminResponse, Client, QueryRequest, QueryResponse, ReleaseRef, RunningServer,
+    Server, StoreHandler,
 };
-use privpath::store::{ReleaseSpec, ReleaseStore};
+use privpath::store::{NamespaceSnapshot, ReleaseSpec, ReleaseStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -84,12 +85,16 @@ commands:
              stats) mutate the store: by default they share the main
              port (operator-local deployments); --admin-port Q moves
              them to 127.0.0.1:Q and makes the main port read-only (the
-             public deployment); --read-only disables them entirely.
-             --store-dir D keeps the frozen mode: load every *.release
-             file in D (sorted by name, ids r0, r1, ...) into one
-             immutable snapshot. --port 0 picks an ephemeral port
-             (printed as `listening on HOST:PORT`); a client sending the
-             `shutdown` line stops the server gracefully. --metrics
+             public deployment); --read-only disables them entirely
+             (so it cannot be combined with --admin-port).
+             --store-dir D serves a frozen release set: every *.release
+             file in D (sorted by name, ids r0, r1, ...) becomes one
+             read-only namespace named `frozen` (refs r0 or frozen/r0;
+             no cache, no geo index, no admin verbs, so --no-cache,
+             --read-only and --admin-port need --store). --port 0
+             picks an ephemeral port (printed as `listening on
+             HOST:PORT`); a client sending the `shutdown` line stops
+             the server gracefully. --metrics
              prints the final telemetry exposition (Prometheus text)
              after shutdown
   query      --connect HOST:PORT [--op OP] [--release REF]
@@ -100,9 +105,9 @@ commands:
              list, budget, metrics, trace, shutdown; metrics dumps the
              server's telemetry exposition; trace (admin endpoints only)
              prints the newest --limit N request traces with per-phase
-             timings; REF is a release ref (`r0`, or
-             `NS/r0` against a live store); --namespace scopes
-             list/budget on a live store; --gamma on distance/batch/
+             timings; REF is a release ref (`r0`, or `NS/r0`;
+             `frozen/r0` on a --store-dir server); --namespace scopes
+             list/budget; --gamma on distance/batch/
              geo-distance/geo-batch attaches the release's ±error bound
              at that confidence, and is the evaluation point for
              accuracy. The geo-* ops take lat/lon coordinates instead of
@@ -733,25 +738,56 @@ fn serve(flags: &HashMap<String, String>, no_cache: bool, read_only: bool) -> Re
         .map(|s| parse(s, "admin port"))
         .transpose()?;
 
-    match (flags.get("store"), flags.get("store-dir")) {
+    // Each mode rejects the flags it cannot honour before anything opens
+    // or binds.
+    let (handler, admin) = match (flags.get("store"), flags.get("store-dir")) {
         (Some(_), Some(_)) => {
             return Err("--store (live) and --store-dir (frozen) are mutually exclusive".into())
         }
         (Some(dir), None) => {
-            return serve_live(dir, host, port, threads, no_cache, read_only, admin_port)
+            if read_only && admin_port.is_some() {
+                return Err(
+                    "--read-only disables the admin verbs entirely; drop --admin-port".into(),
+                );
+            }
+            live_handler(dir, no_cache, read_only, admin_port)?
         }
-        (None, Some(_)) => {}
+        (None, Some(dir)) => {
+            if no_cache || read_only || admin_port.is_some() {
+                return Err(
+                    "--store-dir serves a fixed release set read-only with no cache \
+                     and nothing to administer: --no-cache, --read-only and \
+                     --admin-port need --store"
+                        .into(),
+                );
+            }
+            (frozen_handler(dir)?, None)
+        }
         (None, None) => return Err("serve needs --store (live) or --store-dir (frozen)".into()),
+    };
+    let server = Server::bind((host, port), handler)
+        .map_err(|e| format!("cannot bind {host}:{port}: {e}"))?
+        .with_threads(threads);
+    let addr = server.local_addr().map_err(|e| e.to_string())?;
+    println!("listening on {addr}");
+    // The smoke tests parse the line above from a pipe; make sure it is
+    // visible before the first connection arrives.
+    std::io::stdout().flush().map_err(|e| e.to_string())?;
+    let stats = server.run().map_err(|e| e.to_string())?;
+    if let Some(admin) = admin {
+        let _ = admin.shutdown();
     }
-    if no_cache || read_only || admin_port.is_some() {
-        return Err(
-            "--no-cache/--read-only/--admin-port apply to the live store only (serve --store)"
-                .into(),
-        );
-    }
-    let dir = required(flags, "store-dir")?;
+    println!(
+        "shut down after {} connections, {} requests ({} connection errors)",
+        stats.connections, stats.requests, stats.connection_errors
+    );
+    Ok(())
+}
 
-    // Deterministic id assignment: every *.release file, sorted by name.
+/// Loads every `*.release` file in `dir` (sorted by name, ids `r0, r1,
+/// ...`; no private weights in the process) as one frozen, read-only
+/// namespace, named `frozen`.
+fn frozen_handler(dir: &str) -> Result<StoreHandler, String> {
     let mut paths: Vec<_> = std::fs::read_dir(dir)
         .map_err(|e| format!("cannot read --store-dir {dir:?}: {e}"))?
         .filter_map(|entry| entry.ok().map(|e| e.path()))
@@ -780,37 +816,20 @@ fn serve(flags: &HashMap<String, String>, no_cache: bool, read_only: bool) -> Re
             path.display()
         );
     }
-    let server = Server::bind((host, port), service)
-        .map_err(|e| format!("cannot bind {host}:{port}: {e}"))?
-        .with_threads(threads);
-    let addr = server.local_addr().map_err(|e| e.to_string())?;
-    println!("listening on {addr}");
-    // The smoke tests parse the line above from a pipe; make sure it is
-    // visible before the first connection arrives.
-    std::io::stdout().flush().map_err(|e| e.to_string())?;
-    let stats = server.run().map_err(|e| e.to_string())?;
-    println!(
-        "shut down after {} connections, {} requests ({} connection errors)",
-        stats.connections, stats.requests, stats.connection_errors
-    );
-    Ok(())
+    Ok(StoreHandler::frozen(NamespaceSnapshot::frozen(service)))
 }
 
-/// Serves a live [`ReleaseStore`]: query verbs resolve namespaces
-/// against hot-swapped snapshots; admin verbs mutate the store — on the
-/// main port by default, on a separate loopback-only port with
-/// `--admin-port` (the main port then serves read-only), or nowhere
-/// with `--read-only`.
-fn serve_live(
+/// Opens a live [`ReleaseStore`]: query verbs resolve namespaces against
+/// hot-swapped snapshots; admin verbs mutate the store — on the main
+/// port by default, or on a separate loopback-only admin server (returned
+/// running) with `--admin-port`, the main port then serving read-only,
+/// or nowhere with `--read-only`.
+fn live_handler(
     dir: &str,
-    host: &str,
-    port: u16,
-    threads: usize,
     no_cache: bool,
     read_only: bool,
     admin_port: Option<u16>,
-) -> Result<(), String> {
-    use privpath::serve::{RequestHandler, StoreHandler};
+) -> Result<(StoreHandler, Option<RunningServer>), String> {
     let store = Arc::new(
         ReleaseStore::open(dir)
             .map_err(|e| e.to_string())?
@@ -831,40 +850,21 @@ fn serve_live(
     // A dedicated admin endpoint stays on loopback; the public port then
     // serves read-only, so the unauthenticated admin verbs never face
     // the open network.
-    let admin = match admin_port {
-        Some(p) => {
-            let server = Server::bind_handler(
-                ("127.0.0.1", p),
-                Arc::new(StoreHandler::new(Arc::clone(&store))),
-            )
-            .map_err(|e| format!("cannot bind admin 127.0.0.1:{p}: {e}"))?
-            .with_threads(1);
-            let running = server.spawn().map_err(|e| e.to_string())?;
-            println!("admin listening on {}", running.addr());
-            Some(running)
-        }
-        None => None,
+    let Some(p) = admin_port else {
+        let handler = if read_only {
+            StoreHandler::read_only(store)
+        } else {
+            StoreHandler::new(store)
+        };
+        return Ok((handler, None));
     };
-    let handler: Arc<dyn RequestHandler> = if read_only || admin.is_some() {
-        Arc::new(StoreHandler::read_only(Arc::clone(&store)))
-    } else {
-        Arc::new(StoreHandler::new(Arc::clone(&store)))
-    };
-    let server = Server::bind_handler((host, port), handler)
-        .map_err(|e| format!("cannot bind {host}:{port}: {e}"))?
-        .with_threads(threads);
-    let addr = server.local_addr().map_err(|e| e.to_string())?;
-    println!("listening on {addr}");
-    std::io::stdout().flush().map_err(|e| e.to_string())?;
-    let stats = server.run().map_err(|e| e.to_string())?;
-    if let Some(admin) = admin {
-        let _ = admin.shutdown();
-    }
-    println!(
-        "shut down after {} connections, {} requests ({} connection errors)",
-        stats.connections, stats.requests, stats.connection_errors
-    );
-    Ok(())
+    let admin = Server::bind(("127.0.0.1", p), StoreHandler::new(Arc::clone(&store)))
+        .map_err(|e| format!("cannot bind admin 127.0.0.1:{p}: {e}"))?
+        .with_threads(1)
+        .spawn()
+        .map_err(|e| e.to_string())?;
+    println!("admin listening on {}", admin.addr());
+    Ok((StoreHandler::read_only(store), Some(admin)))
 }
 
 /// Parses `--release` through [`ReleaseRef`]'s `FromStr` (`r3`, `3`, or

@@ -34,10 +34,11 @@
 //!   [`QueryRequest`](serve::QueryRequest) /
 //!   [`QueryResponse`](serve::QueryResponse) line protocol (release refs
 //!   optionally namespace-qualified), the [admin verbs](serve::admin)
-//!   driving a live store, the `(release, source)` batch
-//!   [`planner`](serve::planner), and a dependency-free thread-pooled
-//!   TCP [`server`](serve::server) — over a frozen snapshot or a live
-//!   store — with a matching [`client`](serve::client).
+//!   driving a live store, the one request handler
+//!   [`StoreHandler`](serve::StoreHandler) — over a live store or a
+//!   frozen release set served as one read-only namespace — and a
+//!   dependency-free thread-pooled TCP [`server`](serve::server) with a
+//!   matching [`client`](serve::client).
 //!
 //! See `README.md` for a tour (including the engine architecture) and
 //! `EXPERIMENTS.md` for the reproduction of every theorem-level claim.
@@ -126,8 +127,8 @@ pub mod prelude {
     };
     pub use privpath_graph::{EdgeId, EdgeWeights, GraphError, NodeId, Path, Topology};
     pub use privpath_serve::{
-        AdminRequest, AdminResponse, Client, QueryPlan, QueryRequest, QueryResponse, ReleaseRef,
-        ReleaseSummary, Server,
+        AdminRequest, AdminResponse, Client, QueryRequest, QueryResponse, ReleaseRef,
+        ReleaseSummary, Server, StoreHandler,
     };
     pub use privpath_store::{
         ContinualStatus, NamespaceSnapshot, NamespaceStats, PublishReceipt, ReleaseSpec,

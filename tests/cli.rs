@@ -476,6 +476,107 @@ fn serve_and_query_over_tcp() {
     assert!(status.success(), "serve exited with {status}");
 }
 
+/// `--read-only` disables the admin verbs entirely, and a frozen
+/// `--store-dir` set has nothing to administer: pairing either with
+/// `--admin-port` is a CLI error before anything binds, never a live
+/// mutating endpoint.
+#[test]
+fn serve_rejects_admin_port_with_read_only_or_store_dir() {
+    use std::time::{Duration, Instant};
+
+    let prefix = tmp("adminport");
+    let prefix_str = prefix.to_str().unwrap();
+    let store = tmp("adminport_store");
+    let _ = std::fs::remove_dir_all(&store);
+    let store_str = store.to_str().unwrap();
+    let frozen = tmp("adminport_frozen");
+    std::fs::create_dir_all(&frozen).expect("create frozen dir");
+    let frozen_str = frozen.to_str().unwrap();
+    run_ok(&[
+        "gen-demo",
+        "--nodes",
+        "20",
+        "--out-prefix",
+        prefix_str,
+        "--seed",
+        "5",
+    ]);
+    let topo = format!("{prefix_str}.topo");
+    let weights = format!("{prefix_str}.weights");
+    run_ok(&[
+        "store",
+        "init",
+        "--dir",
+        store_str,
+        "--namespace",
+        "ns",
+        "--topo",
+        &topo,
+        "--weights",
+        &weights,
+    ]);
+    run_ok(&[
+        "release",
+        "--topo",
+        &topo,
+        "--weights",
+        &weights,
+        "--eps",
+        "1.0",
+        "--out",
+        &format!("{frozen_str}/demo.release"),
+    ]);
+
+    let cases: [&[&str]; 2] = [
+        &[
+            "serve",
+            "--store",
+            store_str,
+            "--read-only",
+            "--admin-port",
+            "0",
+            "--port",
+            "0",
+        ],
+        &[
+            "serve",
+            "--store-dir",
+            frozen_str,
+            "--admin-port",
+            "0",
+            "--port",
+            "0",
+        ],
+    ];
+    for args in cases {
+        let mut child = Command::new(bin())
+            .args(args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn serve");
+        // A regression would start serving and never exit on its own.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while child.try_wait().expect("poll serve").is_none() {
+            if Instant::now() > deadline {
+                child.kill().ok();
+                child.wait().ok();
+                panic!("{args:?} started serving instead of failing");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().expect("serve output");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} succeeded: {stdout}");
+        assert!(
+            !stdout.contains("listening on"),
+            "{args:?} bound a port: {stdout}"
+        );
+        assert!(stderr.contains("--admin-port"), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn help_prints_usage() {
     let out = run_ok(&["help"]);

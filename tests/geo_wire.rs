@@ -57,7 +57,7 @@ fn geo_verbs_answer_over_the_wire() {
     let dir = temp_store("verbs");
     let (bounds, id) = seed_store(&dir);
     let store = Arc::new(ReleaseStore::open(&dir).unwrap());
-    let running = Server::bind_store("127.0.0.1:0", store)
+    let running = Server::bind("127.0.0.1:0", StoreHandler::new(store))
         .unwrap()
         .spawn()
         .unwrap();
@@ -133,7 +133,7 @@ fn out_of_bounds_and_index_less_namespaces_are_refused() {
     let dir = temp_store("refusals");
     let (bounds, id) = seed_store(&dir);
     let store = Arc::new(ReleaseStore::open(&dir).unwrap());
-    let running = Server::bind_store("127.0.0.1:0", store)
+    let running = Server::bind("127.0.0.1:0", StoreHandler::new(store))
         .unwrap()
         .spawn()
         .unwrap();
@@ -188,7 +188,7 @@ fn update_weights_epoch_bump_is_visible_through_geo_queries() {
     let dir = temp_store("epoch");
     let (bounds, id) = seed_store(&dir);
     let store = Arc::new(ReleaseStore::open(&dir).unwrap());
-    let running = Server::bind_store("127.0.0.1:0", Arc::clone(&store))
+    let running = Server::bind("127.0.0.1:0", StoreHandler::new(Arc::clone(&store)))
         .unwrap()
         .spawn()
         .unwrap();
@@ -256,7 +256,7 @@ fn geo_serving_survives_restart() {
 
     let first = {
         let store = Arc::new(ReleaseStore::open(&dir).unwrap());
-        let running = Server::bind_store("127.0.0.1:0", store)
+        let running = Server::bind("127.0.0.1:0", StoreHandler::new(store))
             .unwrap()
             .spawn()
             .unwrap();
@@ -282,7 +282,7 @@ fn geo_serving_survives_restart() {
 
     // Restart: fresh store replaying the persisted index and manifest.
     let store = Arc::new(ReleaseStore::open(&dir).unwrap());
-    let running = Server::bind_store("127.0.0.1:0", store)
+    let running = Server::bind("127.0.0.1:0", StoreHandler::new(store))
         .unwrap()
         .spawn()
         .unwrap();

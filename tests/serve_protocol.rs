@@ -1,8 +1,10 @@
-//! Serve-path conformance: the wire codec round-trips, the query planner
-//! agrees with per-query answers on every release kind, and concurrent
-//! `QueryService` readers agree with single-threaded serving.
+//! Serve-path conformance: the wire codec round-trips, the request
+//! handler over a frozen release set agrees with the oracles on every
+//! release kind, and concurrent `QueryService` readers agree with
+//! single-threaded serving.
 
 use privpath::prelude::*;
+use privpath::store::FROZEN_NAMESPACE;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -80,14 +82,21 @@ fn shuffled<T>(mut items: Vec<T>, rng: &mut StdRng) -> Vec<T> {
     items
 }
 
+/// The handler `serve --store-dir` runs: the snapshot as the one frozen,
+/// read-only namespace.
+fn frozen(service: QueryService) -> StoreHandler {
+    StoreHandler::frozen(NamespaceSnapshot::frozen(service))
+}
+
 #[test]
-fn planner_matches_per_query_answers_for_every_kind() {
+fn handler_matches_oracle_answers_for_every_kind() {
     let n = 24;
     let engine = all_kinds_engine(n, 41);
     let service = engine.snapshot();
     assert_eq!(service.len(), 7);
+    let handler = frozen(service.clone());
 
-    // A mixed, shuffled batch: every release kind, heavy source reuse.
+    // A mixed, shuffled workload: every release kind, heavy source reuse.
     let mut rng = StdRng::seed_from_u64(7);
     let mut requests = Vec::new();
     for record in service.releases() {
@@ -105,23 +114,7 @@ fn planner_matches_per_query_answers_for_every_kind() {
     }
     let requests = shuffled(requests, &mut rng);
 
-    let plan = QueryPlan::build(&requests);
-    // Grouping is exactly by (release ref, source).
-    let mut keys: Vec<(String, usize)> = plan
-        .groups()
-        .iter()
-        .map(|g| (g.release.to_string(), g.source.index()))
-        .collect();
-    let covered: usize = plan.groups().iter().map(|g| g.members.len()).sum();
-    assert_eq!(covered, requests.len());
-    keys.sort_unstable();
-    let before = keys.len();
-    keys.dedup();
-    assert_eq!(keys.len(), before, "duplicate (release, source) group");
-
-    let answers = plan.execute(&service, &requests);
-    assert_eq!(answers.len(), requests.len());
-    for (req, ans) in requests.iter().zip(&answers) {
+    for req in &requests {
         let QueryRequest::Distance {
             release, from, to, ..
         } = req
@@ -133,65 +126,62 @@ fn planner_matches_per_query_answers_for_every_kind() {
             .unwrap()
             .distance(*from, *to)
             .unwrap();
-        match ans {
-            QueryResponse::Distance { value, bound } => {
-                assert_eq!(
-                    *value, expected,
-                    "planner disagrees with per-query answer on {req}"
-                );
-                assert!(bound.is_none(), "no gamma requested, no bound expected");
+        // The frozen set is the namespace `frozen`: the qualified ref
+        // answers bit-identically to the bare one.
+        let qualified = QueryRequest::Distance {
+            release: ReleaseRef::namespaced(FROZEN_NAMESPACE, release.id()).unwrap(),
+            from: *from,
+            to: *to,
+            gamma: None,
+        };
+        for r in [req, &qualified] {
+            match handler.answer(r) {
+                QueryResponse::Distance { value, bound } => {
+                    assert_eq!(
+                        value.to_bits(),
+                        expected.to_bits(),
+                        "handler disagrees with the oracle on {r}"
+                    );
+                    assert!(bound.is_none(), "no gamma requested, no bound expected");
+                }
+                other => panic!("expected a distance for {r}, got {other}"),
             }
-            other => panic!("expected a distance for {req}, got {other}"),
+        }
+    }
+
+    // One batch per release answers exactly the per-query values.
+    for record in service.releases() {
+        let pairs: Vec<(NodeId, NodeId)> = requests
+            .iter()
+            .filter_map(|r| match r {
+                QueryRequest::Distance {
+                    release, from, to, ..
+                } if release.id() == record.id() => Some((*from, *to)),
+                _ => None,
+            })
+            .collect();
+        let batch = QueryRequest::DistanceBatch {
+            release: record.id().into(),
+            pairs: pairs.clone(),
+            gamma: None,
+        };
+        let QueryResponse::Distances { values, .. } = handler.answer(&batch) else {
+            panic!("expected distances for {batch}");
+        };
+        let oracle = service.query(record.id()).unwrap();
+        for (&(u, v), value) in pairs.iter().zip(values) {
+            assert_eq!(value.to_bits(), oracle.distance(u, v).unwrap().to_bits());
         }
     }
 }
 
 #[test]
-fn planner_isolates_failing_queries_within_a_group() {
-    let n = 16;
-    let engine = all_kinds_engine(n, 43);
-    let service = engine.snapshot();
-    let id = service.releases().next().unwrap().id();
-    let src = NodeId::new(3);
-    let requests = vec![
-        QueryRequest::Distance {
-            release: id.into(),
-            from: src,
-            to: NodeId::new(5),
-            gamma: None,
-        },
-        // Out of range: poisons a naive whole-batch answer.
-        QueryRequest::Distance {
-            release: id.into(),
-            from: src,
-            to: NodeId::new(n + 100),
-            gamma: None,
-        },
-        QueryRequest::Distance {
-            release: id.into(),
-            from: src,
-            to: NodeId::new(9),
-            gamma: None,
-        },
-    ];
-    let answers = privpath::serve::answer_all(&service, &requests);
-    assert!(matches!(answers[0], QueryResponse::Distance { .. }));
-    assert!(matches!(
-        answers[1],
-        QueryResponse::Error {
-            code: privpath::serve::ErrorCode::OutOfRange,
-            ..
-        }
-    ));
-    assert!(matches!(answers[2], QueryResponse::Distance { .. }));
-}
-
-#[test]
-fn planner_answers_mixed_request_kinds_in_order() {
+fn handler_answers_every_query_kind() {
     let engine = all_kinds_engine(12, 44);
     let service = engine.snapshot();
+    let handler = frozen(service.clone());
     let sp = service.releases().next().unwrap().id();
-    let requests = vec![
+    let requests = [
         QueryRequest::BudgetStatus { namespace: None },
         QueryRequest::Distance {
             release: sp.into(),
@@ -217,8 +207,15 @@ fn planner_answers_mixed_request_kinds_in_order() {
             release: sp.into(),
             gamma: 0.05,
         },
+        // Out of range: fails alone, with its own wire code.
+        QueryRequest::Distance {
+            release: sp.into(),
+            from: NodeId::new(0),
+            to: NodeId::new(112),
+            gamma: None,
+        },
     ];
-    let answers = privpath::serve::answer_all(&service, &requests);
+    let answers: Vec<QueryResponse> = requests.iter().map(|r| handler.answer(r)).collect();
     assert!(matches!(answers[0], QueryResponse::Budget { .. }));
     assert!(matches!(answers[1], QueryResponse::Distance { .. }));
     match &answers[2] {
@@ -247,6 +244,17 @@ fn planner_answers_mixed_request_kinds_in_order() {
         }
         other => panic!("expected an accuracy bound, got {other}"),
     }
+    assert!(
+        matches!(
+            answers[6],
+            QueryResponse::Error {
+                code: privpath::serve::ErrorCode::OutOfRange,
+                ..
+            }
+        ),
+        "{}",
+        answers[6]
+    );
 }
 
 #[test]
@@ -393,17 +401,15 @@ fn unknown_release_and_unsupported_kind_map_to_wire_codes() {
         )
         .unwrap();
     let service = engine.snapshot();
+    let handler = frozen(service.clone());
 
     let missing: ReleaseId = "r99".parse().unwrap();
-    let resp = privpath::serve::answer_one(
-        &service,
-        &QueryRequest::Distance {
-            release: missing.into(),
-            from: NodeId::new(0),
-            to: NodeId::new(1),
-            gamma: None,
-        },
-    );
+    let resp = handler.answer(&QueryRequest::Distance {
+        release: missing.into(),
+        from: NodeId::new(0),
+        to: NodeId::new(1),
+        gamma: None,
+    });
     assert!(matches!(
         resp,
         QueryResponse::Error {
@@ -412,15 +418,12 @@ fn unknown_release_and_unsupported_kind_map_to_wire_codes() {
         }
     ));
 
-    let resp = privpath::serve::answer_one(
-        &service,
-        &QueryRequest::Distance {
-            release: mst.into(),
-            from: NodeId::new(0),
-            to: NodeId::new(1),
-            gamma: None,
-        },
-    );
+    let resp = handler.answer(&QueryRequest::Distance {
+        release: mst.into(),
+        from: NodeId::new(0),
+        to: NodeId::new(1),
+        gamma: None,
+    });
     assert!(matches!(
         resp,
         QueryResponse::Error {
@@ -775,6 +778,7 @@ fn distance_queries_carry_error_bars_for_every_kind() {
     let n = 20;
     let engine = all_kinds_engine(n, 51);
     let service = engine.snapshot();
+    let handler = frozen(service.clone());
     for record in service.releases() {
         let gamma = 0.1;
         let expected = service.accuracy(record.id(), gamma).unwrap();
@@ -783,24 +787,22 @@ fn distance_queries_carry_error_bars_for_every_kind() {
             "{} bound degenerate",
             record.kind()
         );
-        // answer_one and the planner must attach the same bar, and it
-        // must survive the wire codec.
+        // The handler attaches the bar, and it must survive the wire
+        // codec.
         let req = QueryRequest::Distance {
             release: record.id().into(),
             from: NodeId::new(0),
             to: NodeId::new(5),
             gamma: Some(gamma),
         };
-        let direct = privpath::serve::answer_one(&service, &req);
-        let planned = privpath::serve::answer_all(&service, std::slice::from_ref(&req));
-        assert_eq!(direct, planned[0], "planner/direct divergence");
-        let QueryResponse::Distance { value, bound } = direct else {
+        let direct = handler.answer(&req);
+        let QueryResponse::Distance { value, bound } = direct.clone() else {
             panic!("expected a distance for {}", record.kind());
         };
         assert!(value.is_finite());
         assert_eq!(bound, Some(expected.alpha()), "{}", record.kind());
-        let wire: QueryResponse = planned[0].to_string().parse().unwrap();
-        assert_eq!(wire, planned[0], "error bar lost on the wire");
+        let wire: QueryResponse = direct.to_string().parse().unwrap();
+        assert_eq!(wire, direct, "error bar lost on the wire");
     }
 }
 
@@ -808,18 +810,16 @@ fn distance_queries_carry_error_bars_for_every_kind() {
 fn batch_queries_share_one_error_bar() {
     let engine = all_kinds_engine(16, 52);
     let service = engine.snapshot();
+    let handler = frozen(service.clone());
     let id = service.releases().next().unwrap().id();
-    let resp = privpath::serve::answer_one(
-        &service,
-        &QueryRequest::DistanceBatch {
-            release: id.into(),
-            pairs: vec![
-                (NodeId::new(0), NodeId::new(3)),
-                (NodeId::new(2), NodeId::new(9)),
-            ],
-            gamma: Some(0.05),
-        },
-    );
+    let resp = handler.answer(&QueryRequest::DistanceBatch {
+        release: id.into(),
+        pairs: vec![
+            (NodeId::new(0), NodeId::new(3)),
+            (NodeId::new(2), NodeId::new(9)),
+        ],
+        gamma: Some(0.05),
+    });
     let QueryResponse::Distances { values, bound } = resp else {
         panic!("expected distances");
     };
@@ -835,6 +835,7 @@ fn batch_queries_share_one_error_bar() {
 fn accuracy_queries_report_tighter_bounds_for_looser_confidence() {
     let engine = all_kinds_engine(16, 53);
     let service = engine.snapshot();
+    let handler = frozen(service.clone());
     for record in service.releases() {
         let tight = service.accuracy(record.id(), 0.01).unwrap();
         let loose = service.accuracy(record.id(), 0.5).unwrap();
@@ -846,13 +847,10 @@ fn accuracy_queries_report_tighter_bounds_for_looser_confidence() {
     }
     // Invalid gammas are Query errors on the wire, not crashes.
     let id = service.releases().next().unwrap().id();
-    let resp = privpath::serve::answer_one(
-        &service,
-        &QueryRequest::Accuracy {
-            release: id.into(),
-            gamma: 1.5,
-        },
-    );
+    let resp = handler.answer(&QueryRequest::Accuracy {
+        release: id.into(),
+        gamma: 1.5,
+    });
     assert!(matches!(
         resp,
         QueryResponse::Error {
@@ -866,8 +864,8 @@ fn accuracy_queries_report_tighter_bounds_for_looser_confidence() {
 fn list_carries_kind_cost_and_accuracy_per_release() {
     let engine = all_kinds_engine(16, 54);
     let service = engine.snapshot();
-    let resp =
-        privpath::serve::answer_one(&service, &QueryRequest::ListReleases { namespace: None });
+    let handler = frozen(service.clone());
+    let resp = handler.answer(&QueryRequest::ListReleases { namespace: None });
     let QueryResponse::Releases(rs) = &resp else {
         panic!("expected releases");
     };
@@ -888,6 +886,7 @@ fn list_carries_kind_cost_and_accuracy_per_release() {
 fn invalid_gamma_on_distance_fails_like_accuracy_does() {
     let engine = all_kinds_engine(12, 55);
     let service = engine.snapshot();
+    let handler = frozen(service.clone());
     let id = service.releases().next().unwrap().id();
     for gamma in [0.0, 1.0, 1.5, -0.2] {
         // A bad gamma must be an error, not a silently bar-less answer
@@ -905,7 +904,7 @@ fn invalid_gamma_on_distance_fails_like_accuracy_does() {
                 gamma: Some(gamma),
             },
         ] {
-            let direct = privpath::serve::answer_one(&service, &req);
+            let direct = handler.answer(&req);
             assert!(
                 matches!(
                     direct,
@@ -915,11 +914,6 @@ fn invalid_gamma_on_distance_fails_like_accuracy_does() {
                     }
                 ),
                 "gamma {gamma}: expected a query error, got {direct}"
-            );
-            let planned = privpath::serve::answer_all(&service, std::slice::from_ref(&req));
-            assert_eq!(
-                planned[0], direct,
-                "planner/direct divergence at gamma {gamma}"
             );
         }
     }
@@ -931,6 +925,7 @@ fn shortcut_release_is_served_on_every_wire_surface() {
     // each survives the codec.
     let engine = all_kinds_engine(24, 91);
     let service = engine.snapshot();
+    let handler = frozen(service.clone());
     let record = service
         .releases()
         .find(|r| r.kind() == ReleaseKind::ShortcutApsp)
@@ -938,8 +933,7 @@ fn shortcut_release_is_served_on_every_wire_surface() {
     let id = record.id();
 
     // list: the record names the kind and an evaluated cnx-shortcut bound.
-    let list =
-        privpath::serve::answer_one(&service, &QueryRequest::ListReleases { namespace: None });
+    let list = handler.answer(&QueryRequest::ListReleases { namespace: None });
     let QueryResponse::Releases(rs) = &list else {
         panic!("expected releases, got {list}");
     };
@@ -951,13 +945,10 @@ fn shortcut_release_is_served_on_every_wire_surface() {
     assert_eq!(wire, list);
 
     // accuracy: re-evaluable at any gamma over the wire.
-    let resp = privpath::serve::answer_one(
-        &service,
-        &QueryRequest::Accuracy {
-            release: id.into(),
-            gamma: 0.2,
-        },
-    );
+    let resp = handler.answer(&QueryRequest::Accuracy {
+        release: id.into(),
+        gamma: 0.2,
+    });
     let QueryResponse::Accuracy(b) = &resp else {
         panic!("expected accuracy, got {resp}");
     };
@@ -983,7 +974,7 @@ fn shortcut_release_is_served_on_every_wire_surface() {
             gamma: Some(0.05),
         },
     ] {
-        let resp = privpath::serve::answer_one(&service, &req);
+        let resp = handler.answer(&req);
         let attached = match &resp {
             QueryResponse::Distance { bound, .. } => *bound,
             QueryResponse::Distances { bound, .. } => *bound,

@@ -1,6 +1,6 @@
 //! TCP serve-path tests: the in-process server speaks the line protocol,
 //! isolates per-connection errors, serves concurrent clients from one
-//! snapshot, and shuts down gracefully.
+//! frozen release set, and shuts down gracefully.
 
 use privpath::prelude::*;
 use rand::rngs::StdRng;
@@ -37,6 +37,12 @@ fn serving_engine() -> ReleaseEngine {
     engine
 }
 
+/// The server-side handler over a snapshot: the frozen release set as
+/// its one read-only namespace, exactly what `serve --store-dir` runs.
+fn frozen(service: QueryService) -> StoreHandler {
+    StoreHandler::frozen(NamespaceSnapshot::frozen(service))
+}
+
 fn round_trip(stream: &mut TcpStream, line: &str) -> String {
     writeln!(stream, "{line}").unwrap();
     stream.flush().unwrap();
@@ -65,7 +71,7 @@ fn scrape_series(client: &mut Client, series: &str) -> f64 {
 fn serves_typed_queries_over_tcp() {
     let engine = serving_engine();
     let service = engine.snapshot();
-    let running = Server::bind("127.0.0.1:0", service.clone())
+    let running = Server::bind("127.0.0.1:0", frozen(service.clone()))
         .unwrap()
         .with_threads(2)
         .spawn()
@@ -181,7 +187,7 @@ fn serves_typed_queries_over_tcp() {
 #[test]
 fn malformed_lines_and_bad_connections_are_isolated() {
     let engine = serving_engine();
-    let running = Server::bind("127.0.0.1:0", engine.snapshot())
+    let running = Server::bind("127.0.0.1:0", frozen(engine.snapshot()))
         .unwrap()
         .with_threads(2)
         .spawn()
@@ -218,7 +224,7 @@ fn malformed_lines_and_bad_connections_are_isolated() {
 fn concurrent_tcp_clients_agree_with_local_answers() {
     let engine = serving_engine();
     let service = engine.snapshot();
-    let running = Server::bind("127.0.0.1:0", service.clone())
+    let running = Server::bind("127.0.0.1:0", frozen(service.clone()))
         .unwrap()
         .with_threads(4)
         .spawn()
@@ -263,7 +269,7 @@ fn idle_connections_do_not_starve_new_clients() {
     // worker multiplexes, so a second client (and the shutdown control
     // line) must still be served.
     let engine = serving_engine();
-    let running = Server::bind("127.0.0.1:0", engine.snapshot())
+    let running = Server::bind("127.0.0.1:0", frozen(engine.snapshot()))
         .unwrap()
         .with_threads(1)
         .spawn()
@@ -292,7 +298,7 @@ fn pipelining_client_does_not_starve_siblings_or_shutdown() {
     // shutdown line) interleave, and every pipelined request must still
     // be answered in order.
     let engine = serving_engine();
-    let running = Server::bind("127.0.0.1:0", engine.snapshot())
+    let running = Server::bind("127.0.0.1:0", frozen(engine.snapshot()))
         .unwrap()
         .with_threads(1)
         .spawn()
@@ -333,7 +339,7 @@ fn pipelining_client_does_not_starve_siblings_or_shutdown() {
 #[test]
 fn oversized_lines_are_rejected_without_growing_forever() {
     let engine = serving_engine();
-    let running = Server::bind("127.0.0.1:0", engine.snapshot())
+    let running = Server::bind("127.0.0.1:0", frozen(engine.snapshot()))
         .unwrap()
         .with_threads(2)
         .spawn()
@@ -372,7 +378,7 @@ fn frozen_snapshot_server_answers_metrics_not_unsupported() {
     // Regression: telemetry is read-only, so a frozen-snapshot server
     // must serve the `metrics` verb instead of refusing it.
     let engine = serving_engine();
-    let running = Server::bind("127.0.0.1:0", engine.snapshot())
+    let running = Server::bind("127.0.0.1:0", frozen(engine.snapshot()))
         .unwrap()
         .with_threads(2)
         .spawn()
@@ -410,7 +416,7 @@ fn error_paths_count_before_the_early_return() {
     // scrape), and a connection torn down for an oversized line must
     // tick the connection-error counter before its early return.
     let engine = serving_engine();
-    let running = Server::bind("127.0.0.1:0", engine.snapshot())
+    let running = Server::bind("127.0.0.1:0", frozen(engine.snapshot()))
         .unwrap()
         .with_threads(2)
         .spawn()
@@ -455,7 +461,7 @@ fn error_paths_count_before_the_early_return() {
 #[test]
 fn graceful_shutdown_acknowledges_and_stops_accepting() {
     let engine = serving_engine();
-    let running = Server::bind("127.0.0.1:0", engine.snapshot())
+    let running = Server::bind("127.0.0.1:0", frozen(engine.snapshot()))
         .unwrap()
         .spawn()
         .unwrap();
@@ -507,7 +513,7 @@ fn malformed_corpus_never_kills_a_worker() {
     // protocol skips them without a response line.)
 
     let engine = serving_engine();
-    let running = Server::bind("127.0.0.1:0", engine.snapshot())
+    let running = Server::bind("127.0.0.1:0", frozen(engine.snapshot()))
         .unwrap()
         .with_threads(2)
         .spawn()

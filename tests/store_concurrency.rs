@@ -383,7 +383,7 @@ fn metrics_scrapes_are_monotone_and_untorn_under_load() {
     let spec = ReleaseSpec::new(ReleaseKind::ShortestPath, eps(2.0)).unwrap();
     let id = store.publish("obsmetro", &spec).unwrap().id;
 
-    let server = Server::bind_store("127.0.0.1:0", Arc::clone(&store))
+    let server = Server::bind("127.0.0.1:0", StoreHandler::new(Arc::clone(&store)))
         .unwrap()
         .with_threads(3);
     let running = server.spawn().unwrap();

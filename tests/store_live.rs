@@ -43,7 +43,7 @@ fn live_server_publishes_updates_and_serves_across_epochs() {
     }
 
     let store = Arc::new(ReleaseStore::open(&dir).unwrap().with_seed(21));
-    let server = Server::bind_store("127.0.0.1:0", Arc::clone(&store))
+    let server = Server::bind("127.0.0.1:0", StoreHandler::new(Arc::clone(&store)))
         .unwrap()
         .with_threads(2);
     let running = server.spawn().unwrap();
@@ -262,7 +262,7 @@ fn live_server_drops_releases_and_namespaces() {
             .unwrap();
     }
     let store = Arc::new(ReleaseStore::open(&dir).unwrap().with_seed(22));
-    let running = Server::bind_store("127.0.0.1:0", Arc::clone(&store))
+    let running = Server::bind("127.0.0.1:0", StoreHandler::new(Arc::clone(&store)))
         .unwrap()
         .spawn()
         .unwrap();
@@ -337,11 +337,13 @@ fn live_server_drops_releases_and_namespaces() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A frozen single-snapshot server refuses admin verbs and namespaced
-/// refs with pointed errors (the protocol is shared; the capability is
-/// not).
+/// A frozen release set is served as the one read-only namespace
+/// `frozen`: bare and `frozen/`-qualified refs answer identically, any
+/// other namespace is unknown, and admin and geo verbs are refused
+/// (the protocol is shared; the capability is not).
 #[test]
 fn frozen_server_refuses_admin_and_namespaced_refs() {
+    use privpath::store::FROZEN_NAMESPACE;
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
     let topo = privpath::graph::generators::path_graph(8);
     let weights = EdgeWeights::constant(7, 1.0);
@@ -353,44 +355,67 @@ fn frozen_server_refuses_admin_and_namespaced_refs() {
             &mut rng,
         )
         .unwrap();
-    let running = Server::bind("127.0.0.1:0", engine.snapshot())
+    let handler = StoreHandler::frozen(NamespaceSnapshot::frozen(engine.snapshot()));
+    let running = Server::bind("127.0.0.1:0", handler)
         .unwrap()
         .spawn()
         .unwrap();
     let mut client = Client::connect(running.addr()).unwrap();
 
-    // Admin verbs: refused with a pointed message.
-    let line = client.round_trip("stats").unwrap();
-    let resp: QueryResponse = line.parse().unwrap();
-    match resp {
+    // Admin verbs, reads and writes alike: refused as read-only.
+    for line in ["stats", "publish frozen shortest-path eps 1.0"] {
+        let resp: QueryResponse = client.round_trip(line).unwrap().parse().unwrap();
+        match resp {
+            QueryResponse::Error { code, message } => {
+                assert_eq!(code, ErrorCode::Unsupported, "{line}");
+                assert!(message.contains("read-only"), "{message}");
+            }
+            other => panic!("{line}: expected unsupported, got {other}"),
+        }
+    }
+
+    // Geo verbs: the frozen namespace carries no spatial index.
+    let geo: QueryResponse = client
+        .round_trip("geo-distance r0 0.0 0.0 1.0 1.0")
+        .unwrap()
+        .parse()
+        .unwrap();
+    match geo {
         QueryResponse::Error { code, message } => {
             assert_eq!(code, ErrorCode::Unsupported);
-            assert!(message.contains("live-store"), "{message}");
+            assert!(message.contains("no spatial index"), "{message}");
         }
         other => panic!("expected unsupported, got {other}"),
     }
 
-    // Namespaced refs: refused, bare refs answer.
-    let namespaced = QueryRequest::Distance {
-        release: ReleaseRef::namespaced("metro", id).unwrap(),
+    // Any namespace but `frozen` is unknown...
+    let distance = |release: ReleaseRef| QueryRequest::Distance {
+        release,
         from: NodeId::new(0),
         to: NodeId::new(7),
         gamma: None,
     };
-    match client.request(&namespaced).unwrap() {
+    match client
+        .request(&distance(ReleaseRef::namespaced("metro", id).unwrap()))
+        .unwrap()
+    {
         QueryResponse::Error { code, .. } => assert_eq!(code, ErrorCode::UnknownRelease),
         other => panic!("expected refusal, got {other}"),
     }
-    let bare = QueryRequest::Distance {
-        release: id.into(),
-        from: NodeId::new(0),
-        to: NodeId::new(7),
-        gamma: None,
+    // ...while `frozen/r0` answers bit-identically to bare `r0`.
+    let value = |resp: QueryResponse| match resp {
+        QueryResponse::Distance { value, .. } => value,
+        other => panic!("expected a distance, got {other}"),
     };
-    assert!(matches!(
-        client.request(&bare).unwrap(),
-        QueryResponse::Distance { .. }
-    ));
+    let bare = value(client.request(&distance(id.into())).unwrap());
+    let qualified = value(
+        client
+            .request(&distance(
+                ReleaseRef::namespaced(FROZEN_NAMESPACE, id).unwrap(),
+            ))
+            .unwrap(),
+    );
+    assert_eq!(bare.to_bits(), qualified.to_bits());
 
     drop(client);
     running.shutdown().unwrap();
@@ -402,7 +427,6 @@ fn frozen_server_refuses_admin_and_namespaced_refs() {
 /// access.
 #[test]
 fn read_only_live_endpoint_refuses_admin_but_serves_queries() {
-    use privpath::serve::StoreHandler;
     let dir = temp_store("readonly");
     let store = Arc::new(ReleaseStore::open(&dir).unwrap().with_seed(24));
     let topo = privpath::graph::generators::path_graph(8);
@@ -412,14 +436,11 @@ fn read_only_live_endpoint_refuses_admin_but_serves_queries() {
     let spec = ReleaseSpec::new(ReleaseKind::ShortestPath, eps(10.0)).unwrap();
     let id = store.publish("only", &spec).unwrap().id;
 
-    let public = Server::bind_handler(
-        "127.0.0.1:0",
-        Arc::new(StoreHandler::read_only(Arc::clone(&store))),
-    )
-    .unwrap()
-    .spawn()
-    .unwrap();
-    let admin = Server::bind_store("127.0.0.1:0", Arc::clone(&store))
+    let public = Server::bind("127.0.0.1:0", StoreHandler::read_only(Arc::clone(&store)))
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let admin = Server::bind("127.0.0.1:0", StoreHandler::new(Arc::clone(&store)))
         .unwrap()
         .spawn()
         .unwrap();
@@ -493,7 +514,7 @@ fn single_tenant_store_accepts_bare_refs() {
     let spec = ReleaseSpec::new(ReleaseKind::ShortestPath, eps(10.0)).unwrap();
     let id = store.publish("only", &spec).unwrap().id;
 
-    let running = Server::bind_store("127.0.0.1:0", Arc::clone(&store))
+    let running = Server::bind("127.0.0.1:0", StoreHandler::new(Arc::clone(&store)))
         .unwrap()
         .spawn()
         .unwrap();
