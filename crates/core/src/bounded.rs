@@ -239,7 +239,7 @@ impl BoundedWeightRelease {
     }
 
     /// The dense symmetric `|Z| x |Z|` matrix of released center-pair
-    /// distances, row-major (see [`crate::persist`] users).
+    /// distances, row-major (the engine's persistence layer stores it).
     pub fn released_matrix(&self) -> &[f64] {
         &self.noisy_dist
     }

@@ -20,7 +20,6 @@
 //! | Error statistics for experiments | [`experiment`] |
 //! | Extension: heavy-path tree mechanism (ablation of Algorithm 1) | [`tree_hld`] |
 //! | Extension: reusable noisy dyadic series | [`series`] |
-//! | Extension: release persistence | [`persist`] |
 //! | Extension: CNX-style hierarchical shortcut APSP (related work) | [`shortcut`] |
 //! | Extension: public coordinate model for road networks | [`geo`] |
 //!
@@ -42,7 +41,6 @@ pub mod matching;
 pub mod model;
 pub mod mst;
 pub mod path_graph;
-pub mod persist;
 pub mod series;
 pub mod shortcut;
 pub mod shortest_path;

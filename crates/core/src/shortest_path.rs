@@ -130,9 +130,9 @@ impl ShortestPathRelease {
         &self.params
     }
 
-    /// Reassembles a release from stored parts (see [`crate::persist`]).
-    /// The weights must match the topology and be nonnegative (releases
-    /// are stored clamped).
+    /// Reassembles a release from stored parts (see the engine's
+    /// persistence layer). The weights must match the topology and be
+    /// nonnegative (releases are stored clamped).
     ///
     /// # Errors
     /// [`CoreError::Graph`] on length mismatch;

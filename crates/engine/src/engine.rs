@@ -146,7 +146,7 @@ impl ReleaseRecord {
     }
 
     /// The accuracy contract declared by the releasing mechanism
-    /// (`None` for releases adopted from legacy storage).
+    /// (`None` for releases adopted without one).
     pub fn accuracy(&self) -> Option<&AccuracyContract> {
         self.accuracy.as_ref()
     }
@@ -265,7 +265,7 @@ impl ReleaseEngine {
     /// it). Existing releases are untouched: they keep answering from the
     /// weights they were released over, which stays differentially
     /// private (post-processing) but grows stale;
-    /// [`rerelease_with`](Self::rerelease_with) re-runs a mechanism over
+    /// [`replace_release`](Self::replace_release) installs a re-run over
     /// the new weights under a fresh debit.
     ///
     /// # Errors
@@ -400,87 +400,6 @@ impl ReleaseEngine {
             .error_bound(target.gamma())
             .ok_or_else(calibration_error)?;
         Ok((id, bound))
-    }
-
-    /// Re-runs a mechanism over the **current** weights and replaces the
-    /// record registered at `id`, keeping the id stable (readers of the
-    /// next snapshot see the same handle answer from fresh data). This is
-    /// the live-update half of the release lifecycle: after
-    /// [`update_weights`](Self::update_weights), each release the curator
-    /// wants refreshed is re-released here under a **fresh debit** — a
-    /// re-release touches the private weights again, so it costs privacy
-    /// exactly like a first release (budget checked before noise).
-    ///
-    /// The replaced record is dropped from the registry but its original
-    /// spend stays in the ledger: both the old and the new release were
-    /// in fact computed from private data.
-    ///
-    /// # Errors
-    /// [`EngineError::UnknownRelease`] for an unregistered id;
-    /// [`EngineError::BudgetExhausted`] when the fresh cost does not fit;
-    /// otherwise the mechanism's own errors. On error the old record
-    /// remains registered.
-    pub fn rerelease_with<M: Mechanism>(
-        &mut self,
-        id: ReleaseId,
-        mechanism: &M,
-        params: &M::Params,
-        noise: &mut impl NoiseSource,
-    ) -> Result<(), EngineError>
-    where
-        AnyRelease: From<M::Release>,
-    {
-        if !self.records.contains_key(&id.value()) {
-            return Err(EngineError::UnknownRelease(id.value()));
-        }
-        let cost = mechanism.privacy_cost(params);
-        self.accountant
-            .check(cost.eps(), cost.delta())
-            .map_err(|_| self.budget_error(cost.eps(), cost.delta()))?;
-        let accuracy = mechanism.accuracy_contract(&self.topo, params);
-        let started = Instant::now();
-        let release = mechanism.release_with(&self.topo, &self.weights, params, noise)?;
-        record_release_timing(mechanism.name(), started.elapsed().as_secs_f64());
-        // The spend label records which update generation this was.
-        let label = format!(
-            "{}#{}@u{}",
-            mechanism.name(),
-            id.value(),
-            self.accountant.spends().len()
-        );
-        self.accountant
-            .spend(label.clone(), cost.eps(), cost.delta())
-            .map_err(|_| self.budget_error(cost.eps(), cost.delta()))?;
-        self.records.insert(
-            id.value(),
-            Arc::new(ReleaseRecord::from_parts(
-                id,
-                label,
-                cost.eps().value(),
-                cost.delta().value(),
-                accuracy,
-                AnyRelease::from(release),
-            )),
-        );
-        Ok(())
-    }
-
-    /// [`rerelease_with`](Self::rerelease_with) drawing noise from `rng`.
-    ///
-    /// # Errors
-    /// Same conditions as [`rerelease_with`](Self::rerelease_with).
-    pub fn rerelease<M: Mechanism>(
-        &mut self,
-        id: ReleaseId,
-        mechanism: &M,
-        params: &M::Params,
-        rng: &mut impl Rng,
-    ) -> Result<(), EngineError>
-    where
-        AnyRelease: From<M::Release>,
-    {
-        let mut noise = RngNoise::new(rng);
-        self.rerelease_with(id, mechanism, params, &mut noise)
     }
 
     /// Replaces the record at `id` with an **externally staged**

@@ -1,5 +1,6 @@
 //! Error type for the release engine.
 
+use crate::release::Knob;
 use privpath_core::CoreError;
 use privpath_dp::DpError;
 use privpath_graph::GraphError;
@@ -37,6 +38,14 @@ pub enum EngineError {
         alpha: f64,
         /// The requested failure probability.
         gamma: f64,
+    },
+    /// A kind needs a knob that has no default and none was given
+    /// (e.g. `bounded-weight` without its `max-weight` promise).
+    MissingKnob {
+        /// The kind's name.
+        mechanism: &'static str,
+        /// The missing knob.
+        knob: Knob,
     },
     /// The referenced release id is not registered in the engine.
     UnknownRelease(u64),
@@ -101,6 +110,9 @@ impl fmt::Display for EngineError {
                  accuracy contract)",
                 1.0 - gamma
             ),
+            EngineError::MissingKnob { mechanism, knob } => {
+                write!(f, "mechanism `{mechanism}` needs `{knob}`")
+            }
             EngineError::UnknownRelease(id) => write!(f, "no release with id r{id}"),
             EngineError::UnsupportedQuery { kind, query } => {
                 write!(

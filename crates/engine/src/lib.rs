@@ -33,9 +33,13 @@
 //!   number of threads query in parallel with no locks. Queries are
 //!   post-processing, so a snapshot answers unboundedly many of them at
 //!   zero privacy cost while the engine keeps releasing.
+//! * [`ReleaseKind`] — the one table of per-kind declarations: wire
+//!   name, the [`Knob`]s a kind takes, whether the live store can hold
+//!   it, and (via [`ReleaseKind::dispatch`] and a [`MechanismVisitor`])
+//!   the mechanism and parameter object it runs. The spec grammar, the
+//!   CLI, and the store all derive from it.
 //! * [`persist`] — a unified tagged storage format covering every
-//!   distance-capable release kind (and still reading the legacy
-//!   shortest-path-only v1 files).
+//!   storable release kind.
 //!
 //! ## Example
 //!
@@ -95,7 +99,7 @@ pub use error::EngineError;
 pub use mechanism::{Mechanism, PrivacyCost};
 pub use persist::{read_release, write_release, StoredRelease};
 pub use plan::BudgetPlan;
-pub use release::{AnyRelease, DistanceRelease, ReleaseKind};
+pub use release::{AnyRelease, DistanceRelease, Knob, Knobs, MechanismVisitor, ReleaseKind};
 pub use service::QueryService;
 
 // The accuracy-contract vocabulary is defined next to the bound formulas

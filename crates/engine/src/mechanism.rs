@@ -27,6 +27,7 @@
 //! error against its declared contract.
 
 use crate::error::EngineError;
+use crate::release::ReleaseKind;
 use privpath_core::baselines::{
     all_pairs_advanced_composition, all_pairs_basic_composition, synthetic_graph_release,
     AllPairsDistanceRelease, SyntheticGraphRelease,
@@ -98,9 +99,15 @@ pub trait Mechanism {
     /// The release object the mechanism produces.
     type Release;
 
+    /// The release kind this mechanism implements — its row in the
+    /// [`ReleaseKind`] table.
+    const KIND: ReleaseKind;
+
     /// A stable machine-readable name (used as spend labels, CLI values,
-    /// and persistence kind tags).
-    fn name(&self) -> &'static str;
+    /// and persistence kind tags): the wire name of [`KIND`](Self::KIND).
+    fn name(&self) -> &'static str {
+        Self::KIND.as_str()
+    }
 
     /// The `(eps, delta)` this release will cost under `params`. Must be
     /// exact: the engine debits precisely this amount.
@@ -209,9 +216,7 @@ impl Mechanism for ShortestPaths {
     type Params = ShortestPathParams;
     type Release = ShortestPathRelease;
 
-    fn name(&self) -> &'static str {
-        "shortest-path"
-    }
+    const KIND: ReleaseKind = ReleaseKind::ShortestPath;
 
     fn privacy_cost(&self, params: &Self::Params) -> PrivacyCost {
         PrivacyCost::pure(params.eps())
@@ -256,9 +261,7 @@ impl Mechanism for TreeAllPairs {
     type Params = TreeDistanceParams;
     type Release = TreeAllPairsRelease;
 
-    fn name(&self) -> &'static str {
-        "tree"
-    }
+    const KIND: ReleaseKind = ReleaseKind::Tree;
 
     fn privacy_cost(&self, params: &Self::Params) -> PrivacyCost {
         PrivacyCost::pure(params.eps())
@@ -310,9 +313,7 @@ impl Mechanism for HldTree {
     type Params = TreeDistanceParams;
     type Release = HldTreeRelease;
 
-    fn name(&self) -> &'static str {
-        "hld-tree"
-    }
+    const KIND: ReleaseKind = ReleaseKind::HldTree;
 
     fn privacy_cost(&self, params: &Self::Params) -> PrivacyCost {
         PrivacyCost::pure(params.eps())
@@ -350,9 +351,7 @@ impl Mechanism for BoundedWeight {
     type Params = BoundedWeightParams;
     type Release = BoundedWeightRelease;
 
-    fn name(&self) -> &'static str {
-        "bounded-weight"
-    }
+    const KIND: ReleaseKind = ReleaseKind::BoundedWeight;
 
     fn privacy_cost(&self, params: &Self::Params) -> PrivacyCost {
         PrivacyCost::approx(params.eps(), params.delta())
@@ -443,9 +442,7 @@ impl Mechanism for Mst {
     type Params = MstParams;
     type Release = MstRelease;
 
-    fn name(&self) -> &'static str {
-        "mst"
-    }
+    const KIND: ReleaseKind = ReleaseKind::Mst;
 
     fn privacy_cost(&self, params: &Self::Params) -> PrivacyCost {
         PrivacyCost::pure(params.eps())
@@ -498,9 +495,7 @@ impl Mechanism for Matching {
     type Params = MatchingParams;
     type Release = MatchingRelease;
 
-    fn name(&self) -> &'static str {
-        "matching"
-    }
+    const KIND: ReleaseKind = ReleaseKind::Matching;
 
     fn privacy_cost(&self, params: &Self::Params) -> PrivacyCost {
         PrivacyCost::pure(params.eps())
@@ -565,9 +560,7 @@ impl Mechanism for ShortcutApsp {
     type Params = ShortcutApspParams;
     type Release = ShortcutApspRelease;
 
-    fn name(&self) -> &'static str {
-        "shortcut-apsp"
-    }
+    const KIND: ReleaseKind = ReleaseKind::ShortcutApsp;
 
     fn privacy_cost(&self, params: &Self::Params) -> PrivacyCost {
         PrivacyCost::approx(params.eps(), params.delta())
@@ -693,9 +686,7 @@ impl Mechanism for SyntheticGraph {
     type Params = SyntheticGraphParams;
     type Release = SyntheticGraphRelease;
 
-    fn name(&self) -> &'static str {
-        "synthetic-graph"
-    }
+    const KIND: ReleaseKind = ReleaseKind::SyntheticGraph;
 
     fn privacy_cost(&self, params: &Self::Params) -> PrivacyCost {
         PrivacyCost::pure(params.eps())
@@ -812,9 +803,7 @@ impl Mechanism for AllPairsBaseline {
     type Params = AllPairsBaselineParams;
     type Release = AllPairsDistanceRelease;
 
-    fn name(&self) -> &'static str {
-        "all-pairs-baseline"
-    }
+    const KIND: ReleaseKind = ReleaseKind::AllPairsBaseline;
 
     fn privacy_cost(&self, params: &Self::Params) -> PrivacyCost {
         PrivacyCost::approx(params.eps(), params.delta())

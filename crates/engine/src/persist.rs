@@ -1,9 +1,8 @@
-//! Unified persistence for engine releases: store any distance-capable
-//! release once, serve queries from it forever (post-processing carries
-//! the original privacy guarantee unchanged).
+//! Unified persistence for engine releases: store any storable release
+//! once, serve queries from it forever (post-processing carries the
+//! original privacy guarantee unchanged).
 //!
-//! Generalizes `privpath_core::persist` (which only covered shortest-path
-//! releases) to a tagged container format:
+//! One tagged container format:
 //!
 //! ```text
 //! privpath-release v3
@@ -15,19 +14,16 @@
 //! <kind-specific body, reusing the substrate's topology/weights blocks>
 //! ```
 //!
-//! v3 adds the `accuracy` line: the release's
-//! [`AccuracyContract`](privpath_core::bounds::AccuracyContract) in its
+//! The `accuracy` line is the release's [`AccuracyContract`] in its
 //! [`to_line`](privpath_core::bounds::AccuracyContract::to_line) form, so
 //! a stored release carries the theorem-named error bound it was created
-//! under and the serve path can report it at any confidence. The legacy
-//! `privpath-release v2` (no accuracy line) and `privpath-sp-release v1`
-//! (shortest-path only) formats are still readable — the loader sniffs
-//! the header and upgrades on the fly, leaving the contract empty. The
-//! `shortcut-apsp` kind (hierarchical shortcut ladder) persists its
-//! level structure — radius, centers, sorted shortcut triples — under
-//! the same v3 header; files written before it existed keep loading
-//! unchanged. Structure-releasing kinds (MST, matching) have no
-//! serve-side query surface and are not persisted.
+//! under and the serve path can report it at any confidence. Any other
+//! header — including the retired `privpath-release v2` and
+//! `privpath-sp-release v1` formats — is a `bad header`
+//! [`EngineError::Persist`]. The `shortcut-apsp` kind persists its level
+//! structure — radius, centers, sorted shortcut triples. Kinds the
+//! [`ReleaseKind`] table marks unstorable (MST, matching, hld-tree) have
+//! no format here.
 
 use crate::engine::{ReleaseEngine, ReleaseId};
 use crate::error::EngineError;
@@ -36,18 +32,15 @@ use privpath_core::baselines::{AllPairsDistanceRelease, SyntheticGraphRelease};
 use privpath_core::bounded::BoundedWeightRelease;
 use privpath_core::bounds::AccuracyContract;
 use privpath_core::model::NeighborScale;
-use privpath_core::persist::read_shortest_path_release;
 use privpath_core::shortcut::ShortcutApspRelease;
 use privpath_core::shortest_path::{ShortestPathParams, ShortestPathRelease};
 use privpath_core::tree_distance::{TreeAllPairsRelease, TreeSingleSourceRelease};
 use privpath_dp::Epsilon;
 use privpath_graph::io::{read_topology, read_weights, write_topology, write_weights};
 use privpath_graph::NodeId;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, Write};
 
 const HEADER_V3: &str = "privpath-release v3";
-const HEADER_V2: &str = "privpath-release v2";
-const HEADER_V1: &str = "privpath-sp-release v1";
 
 /// A release as read from storage: the object plus its accounting
 /// metadata, ready for [`ReleaseEngine::adopt`] or direct querying.
@@ -60,7 +53,7 @@ pub struct StoredRelease {
     /// The delta the release cost.
     pub delta: f64,
     /// The accuracy contract the release was created under (`None` for
-    /// legacy v1/v2 files, which predate contracts).
+    /// kinds without a utility theorem).
     pub accuracy: Option<AccuracyContract>,
     /// The release object.
     pub release: AnyRelease,
@@ -88,19 +81,12 @@ pub fn write_release(
     release: &AnyRelease,
 ) -> Result<(), EngineError> {
     let kind = release.kind();
-    match release {
-        AnyRelease::ShortestPath(_)
-        | AnyRelease::Tree(_)
-        | AnyRelease::BoundedWeight(_)
-        | AnyRelease::SyntheticGraph(_)
-        | AnyRelease::AllPairsBaseline(_)
-        | AnyRelease::ShortcutApsp(_) => {}
-        AnyRelease::Mst(_) | AnyRelease::Matching(_) | AnyRelease::HldTree(_) => {
-            return Err(EngineError::UnsupportedQuery {
-                kind: kind.as_str(),
-                query: "persist",
-            });
-        }
+    let unsupported = || EngineError::UnsupportedQuery {
+        kind: kind.as_str(),
+        query: "persist",
+    };
+    if !kind.is_storable() {
+        return Err(unsupported());
     }
     writeln!(out, "{HEADER_V3}").map_err(io_err)?;
     writeln!(out, "kind {}", kind.as_str()).map_err(io_err)?;
@@ -179,54 +165,35 @@ pub fn write_release(
             }
             write_topology(out, r.topology()).map_err(io_err)?;
         }
-        AnyRelease::Mst(_) | AnyRelease::Matching(_) | AnyRelease::HldTree(_) => unreachable!(),
+        AnyRelease::Mst(_) | AnyRelease::Matching(_) | AnyRelease::HldTree(_) => {
+            return Err(unsupported())
+        }
     }
     Ok(())
 }
 
-/// Reads a release written by [`write_release`] (or the legacy v2 /
-/// v1 formats, upgraded transparently with an empty contract).
+/// Reads a release written by [`write_release`].
 ///
 /// # Errors
-/// [`EngineError::Persist`] for malformed input.
-pub fn read_release(mut input: impl BufRead) -> Result<StoredRelease, EngineError> {
-    // Buffer everything so the legacy reader can re-consume its header.
-    let mut text = String::new();
-    input.read_to_string(&mut text).map_err(io_err)?;
-    let first = text.lines().next().unwrap_or("");
-    if first == HEADER_V1 {
-        let release =
-            read_shortest_path_release(BufReader::new(text.as_bytes())).map_err(io_err)?;
-        let eps = release.params().eps().value();
-        return Ok(StoredRelease {
-            label: "shortest-path#legacy".into(),
-            eps,
-            delta: 0.0,
-            accuracy: None,
-            release: AnyRelease::ShortestPath(release),
-        });
-    }
-    let has_accuracy_line = match first {
-        HEADER_V3 => true,
-        HEADER_V2 => false,
-        _ => return Err(persist_err(format!("bad header {first:?}"))),
+/// [`EngineError::Persist`] for malformed input, including any header
+/// but `privpath-release v3`.
+pub fn read_release(mut reader: impl BufRead) -> Result<StoredRelease, EngineError> {
+    let mut line = String::new();
+    let mut next_line = |reader: &mut dyn BufRead, expect: &str| -> Result<String, EngineError> {
+        line.clear();
+        let n = reader.read_line(&mut line).map_err(io_err)?;
+        if n == 0 {
+            return Err(persist_err(format!(
+                "unexpected end of input, expected {expect}"
+            )));
+        }
+        Ok(line.trim_end().to_string())
     };
 
-    let mut reader = BufReader::new(text.as_bytes());
-    let mut line = String::new();
-    let mut next_line =
-        |reader: &mut BufReader<&[u8]>, expect: &str| -> Result<String, EngineError> {
-            line.clear();
-            let n = reader.read_line(&mut line).map_err(io_err)?;
-            if n == 0 {
-                return Err(persist_err(format!(
-                    "unexpected end of input, expected {expect}"
-                )));
-            }
-            Ok(line.trim_end().to_string())
-        };
-
-    let _header = next_line(&mut reader, "header")?;
+    let header = next_line(&mut reader, "header")?;
+    if header != HEADER_V3 {
+        return Err(persist_err(format!("bad header {header:?}")));
+    }
     let kind_line = next_line(&mut reader, "kind")?;
     let kind_str = kind_line
         .strip_prefix("kind ")
@@ -239,21 +206,17 @@ pub fn read_release(mut input: impl BufRead) -> Result<StoredRelease, EngineErro
         .to_string();
     let eps = parse_field_f64(&next_line(&mut reader, "eps")?, "eps ")?;
     let delta = parse_field_f64(&next_line(&mut reader, "delta")?, "delta ")?;
-    let accuracy = if has_accuracy_line {
-        let line = next_line(&mut reader, "accuracy")?;
-        let spec = line
-            .strip_prefix("accuracy ")
-            .ok_or_else(|| persist_err("expected `accuracy <contract>` or `accuracy none`"))?;
-        if spec.trim() == "none" {
-            None
-        } else {
-            Some(
-                AccuracyContract::parse_line(spec)
-                    .ok_or_else(|| persist_err(format!("invalid accuracy contract {spec:?}")))?,
-            )
-        }
-    } else {
+    let accuracy_line = next_line(&mut reader, "accuracy")?;
+    let spec = accuracy_line
+        .strip_prefix("accuracy ")
+        .ok_or_else(|| persist_err("expected `accuracy <contract>` or `accuracy none`"))?;
+    let accuracy = if spec.trim() == "none" {
         None
+    } else {
+        Some(
+            AccuracyContract::parse_line(spec)
+                .ok_or_else(|| persist_err(format!("invalid accuracy contract {spec:?}")))?,
+        )
     };
 
     let release = match kind {
@@ -472,5 +435,110 @@ impl ReleaseEngine {
             stored.accuracy,
             stored.release,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use privpath_core::shortest_path::private_shortest_paths;
+    use privpath_graph::generators::{connected_gnm, uniform_weights};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    fn round_trip(release: ShortestPathRelease) -> (ShortestPathRelease, ShortestPathRelease) {
+        let eps = release.params().eps().value();
+        let any = AnyRelease::ShortestPath(release);
+        let mut buf = Vec::new();
+        write_release(&mut buf, "shortest-path#0", eps, 0.0, None, &any).unwrap();
+        let stored = read_release(buf.as_slice()).unwrap();
+        match (any, stored.release) {
+            (AnyRelease::ShortestPath(a), AnyRelease::ShortestPath(b)) => (a, b),
+            (_, other) => panic!("read back a {} release", other.kind()),
+        }
+    }
+
+    #[test]
+    fn release_roundtrip_answers_identically() {
+        let mut rng = StdRng::seed_from_u64(300);
+        let topo = connected_gnm(30, 70, &mut rng);
+        let w = uniform_weights(70, 0.0, 10.0, &mut rng);
+        let params = ShortestPathParams::new(Epsilon::new(0.7).unwrap(), 0.05).unwrap();
+        let (release, restored) =
+            round_trip(private_shortest_paths(&topo, &w, &params, &mut rng).unwrap());
+
+        assert_eq!(
+            restored.released_weights().as_slice(),
+            release.released_weights().as_slice()
+        );
+        assert_eq!(
+            restored.shift_amount().to_bits(),
+            release.shift_amount().to_bits()
+        );
+        assert_eq!(restored.params().eps().value(), 0.7);
+        for (s, t) in [(0usize, 29usize), (5, 17)] {
+            let (s, t) = (NodeId::new(s), NodeId::new(t));
+            assert_eq!(
+                restored.path(s, t).unwrap().edges(),
+                release.path(s, t).unwrap().edges()
+            );
+        }
+    }
+
+    #[test]
+    fn no_shift_release_roundtrip() {
+        let mut rng = StdRng::seed_from_u64(301);
+        let topo = connected_gnm(10, 20, &mut rng);
+        let w = uniform_weights(20, 0.0, 3.0, &mut rng);
+        let params = ShortestPathParams::new(Epsilon::new(1.0).unwrap(), 0.1)
+            .unwrap()
+            .without_shift();
+        let (_, restored) =
+            round_trip(private_shortest_paths(&topo, &w, &params, &mut rng).unwrap());
+        assert!(!restored.params().shift_enabled());
+        assert_eq!(restored.shift_amount(), 0.0);
+    }
+
+    #[test]
+    fn corrupt_header_rejected() {
+        // Garbage, and the retired v1 (shortest-path only) and v2 (no
+        // accuracy line) headers: all the same typed error.
+        for header in ["nope", "privpath-sp-release v1", "privpath-release v2"] {
+            let input = format!("{header}\nkind shortest-path\n");
+            match read_release(input.as_bytes()) {
+                Err(EngineError::Persist(msg)) => {
+                    assert!(msg.starts_with("bad header"), "{header}: {msg}")
+                }
+                other => panic!("{header}: expected a bad-header error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn mismatched_weights_rejected() {
+        // Handcraft a file whose weights length disagrees with the topology.
+        let input = "privpath-release v3\n\
+                     kind shortest-path\n\
+                     label shortest-path#0\n\
+                     eps 1.0\n\
+                     delta 0.0\n\
+                     accuracy none\n\
+                     gamma 0.1\n\
+                     scale 1.0\n\
+                     shift_enabled true\n\
+                     shift_amount 0.5\n\
+                     privpath-topology v1\n\
+                     nodes 2\n\
+                     directed false\n\
+                     edges 1\n\
+                     0 1\n\
+                     privpath-weights v1\n\
+                     len 2\n\
+                     1.0\n\
+                     2.0\n";
+        assert!(matches!(
+            read_release(input.as_bytes()),
+            Err(EngineError::Persist(_))
+        ));
     }
 }

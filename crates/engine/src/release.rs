@@ -13,15 +13,18 @@
 //! `Disconnected` because there is no route to return.
 
 use crate::error::EngineError;
+use crate::{mechanisms, Mechanism};
 use privpath_core::baselines::{AllPairsDistanceRelease, SyntheticGraphRelease};
-use privpath_core::bounded::BoundedWeightRelease;
-use privpath_core::matching::MatchingRelease;
-use privpath_core::mst::MstRelease;
-use privpath_core::shortcut::ShortcutApspRelease;
-use privpath_core::shortest_path::ShortestPathRelease;
-use privpath_core::tree_distance::TreeAllPairsRelease;
+use privpath_core::bounded::{BoundedWeightParams, BoundedWeightRelease};
+use privpath_core::bounds::DEFAULT_GAMMA;
+use privpath_core::matching::{MatchingParams, MatchingRelease};
+use privpath_core::mst::{MstParams, MstRelease};
+use privpath_core::shortcut::{ShortcutApspParams, ShortcutApspRelease};
+use privpath_core::shortest_path::{ShortestPathParams, ShortestPathRelease};
+use privpath_core::tree_distance::{TreeAllPairsRelease, TreeDistanceParams};
 use privpath_core::tree_hld::HldTreeRelease;
 use privpath_core::CoreError;
+use privpath_dp::{Delta, Epsilon};
 use privpath_graph::{GraphError, NodeId, Path};
 use std::collections::HashMap;
 
@@ -281,6 +284,15 @@ impl DistanceRelease for ShortcutApspRelease {
 
 /// A stable tag identifying a release's kind in the registry, the CLI,
 /// and the persistence format.
+///
+/// This enum is the **one table** of per-kind declarations: the wire
+/// name, the knobs beyond `eps` the kind's parameters take, how far it
+/// reaches into the live store (one private `decl` match), and the
+/// [`Mechanism`] singleton plus parameter object it runs
+/// ([`dispatch`](Self::dispatch)). Every other layer — the spec grammar,
+/// the CLI, the store's continual check — derives from these two
+/// matches; data formats (the [`AnyRelease`] variants and their persist
+/// bodies) are not declarations and live beside the release types.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReleaseKind {
     /// Algorithm 3 shortest paths.
@@ -303,35 +315,248 @@ pub enum ReleaseKind {
     ShortcutApsp,
 }
 
-impl ReleaseKind {
-    /// The kind's stable name (matches [`crate::Mechanism::name`]).
-    pub fn as_str(&self) -> &'static str {
+/// A parameter a release kind may take beyond `eps`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Knob {
+    /// Approximate DP (`delta > 0`) for the composition-based kinds;
+    /// defaults to zero (pure DP).
+    Delta,
+    /// The shift confidence of Algorithm 3; defaults to
+    /// [`DEFAULT_GAMMA`].
+    Gamma,
+    /// The bounded-weight promise `M`. It has no default, so a kind
+    /// that takes it cannot run without it.
+    MaxWeight,
+}
+
+impl Knob {
+    /// Every knob, in spec-grammar order.
+    pub const ALL: [Knob; 3] = [Knob::Delta, Knob::Gamma, Knob::MaxWeight];
+
+    /// The knob's name in the spec grammar and as a CLI flag.
+    pub fn as_str(self) -> &'static str {
         match self {
-            ReleaseKind::ShortestPath => "shortest-path",
-            ReleaseKind::Tree => "tree",
-            ReleaseKind::HldTree => "hld-tree",
-            ReleaseKind::BoundedWeight => "bounded-weight",
-            ReleaseKind::Mst => "mst",
-            ReleaseKind::Matching => "matching",
-            ReleaseKind::SyntheticGraph => "synthetic-graph",
-            ReleaseKind::AllPairsBaseline => "all-pairs-baseline",
-            ReleaseKind::ShortcutApsp => "shortcut-apsp",
+            Knob::Delta => "delta",
+            Knob::Gamma => "gamma",
+            Knob::MaxWeight => "max-weight",
         }
+    }
+
+    /// The kinds that take this knob, comma-separated (for messages).
+    pub fn kinds(self) -> String {
+        let names: Vec<&str> = ReleaseKind::ALL
+            .iter()
+            .filter(|k| k.takes(self))
+            .map(ReleaseKind::as_str)
+            .collect();
+        names.join(", ")
+    }
+}
+
+impl std::fmt::Display for Knob {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+/// The values a kind's parameter object is built from. A kind reads
+/// only the knobs it takes ([`ReleaseKind::takes`]); the rest are
+/// ignored, so callers refuse misplaced knobs before building these.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Knobs {
+    /// The privacy budget of one run.
+    pub eps: Epsilon,
+    /// [`Knob::Delta`].
+    pub delta: Delta,
+    /// [`Knob::Gamma`].
+    pub gamma: f64,
+    /// [`Knob::MaxWeight`] (`None`: not given).
+    pub max_weight: Option<f64>,
+}
+
+impl Knobs {
+    /// `eps` with every other knob at its default.
+    pub fn new(eps: Epsilon) -> Self {
+        Knobs {
+            eps,
+            delta: Delta::zero(),
+            gamma: DEFAULT_GAMMA,
+            max_weight: None,
+        }
+    }
+}
+
+/// How far a kind reaches into the live store.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Reach {
+    /// Library and `calibrate` only: no persistence format or no
+    /// distance queries, so no store can hold or replay it.
+    Library,
+    /// Storable: a distance surface and a persistence format.
+    Store,
+    /// Storable and servable from a continual namespace: exact given
+    /// its input weights, so a zero-noise re-run over the tree
+    /// composer's estimate is pure post-processing. (The bounded-weight
+    /// kinds carry a structural detour error the continual contract
+    /// cannot absorb.)
+    Continual,
+}
+
+/// One row of the kind table.
+struct Decl {
+    name: &'static str,
+    knobs: &'static [Knob],
+    reach: Reach,
+}
+
+/// A computation over whichever [`Mechanism`] a [`ReleaseKind`] binds
+/// to: [`ReleaseKind::dispatch`] builds the kind's parameter object and
+/// hands it, with the kind's mechanism singleton, to
+/// [`visit`](Self::visit).
+pub trait MechanismVisitor {
+    /// What the visit produces.
+    type Output;
+
+    /// Runs the computation for one mechanism.
+    fn visit<M: Mechanism>(self, mechanism: &M, params: &M::Params) -> Self::Output
+    where
+        AnyRelease: From<M::Release>;
+}
+
+impl ReleaseKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [ReleaseKind; 9] = [
+        ReleaseKind::ShortestPath,
+        ReleaseKind::Tree,
+        ReleaseKind::HldTree,
+        ReleaseKind::BoundedWeight,
+        ReleaseKind::Mst,
+        ReleaseKind::Matching,
+        ReleaseKind::SyntheticGraph,
+        ReleaseKind::AllPairsBaseline,
+        ReleaseKind::ShortcutApsp,
+    ];
+
+    /// The kind table's row for `self`.
+    fn decl(self) -> Decl {
+        use Knob::{Delta, Gamma, MaxWeight};
+        use Reach::{Continual, Library, Store};
+        let (name, knobs, reach): (_, &'static [Knob], _) = match self {
+            ReleaseKind::ShortestPath => ("shortest-path", &[Gamma], Continual),
+            ReleaseKind::Tree => ("tree", &[], Continual),
+            ReleaseKind::HldTree => ("hld-tree", &[], Library),
+            ReleaseKind::BoundedWeight => ("bounded-weight", &[Delta, MaxWeight], Store),
+            ReleaseKind::Mst => ("mst", &[], Library),
+            ReleaseKind::Matching => ("matching", &[], Library),
+            ReleaseKind::SyntheticGraph => ("synthetic-graph", &[], Continual),
+            ReleaseKind::AllPairsBaseline => ("all-pairs-baseline", &[Delta], Continual),
+            ReleaseKind::ShortcutApsp => ("shortcut-apsp", &[Delta, MaxWeight], Store),
+        };
+        Decl { name, knobs, reach }
+    }
+
+    /// The kind's stable name (also [`Mechanism::name`] of the
+    /// mechanism it binds).
+    pub fn as_str(&self) -> &'static str {
+        self.decl().name
     }
 
     /// Parses a kind name.
     pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "shortest-path" => ReleaseKind::ShortestPath,
-            "tree" => ReleaseKind::Tree,
-            "hld-tree" => ReleaseKind::HldTree,
-            "bounded-weight" => ReleaseKind::BoundedWeight,
-            "mst" => ReleaseKind::Mst,
-            "matching" => ReleaseKind::Matching,
-            "synthetic-graph" => ReleaseKind::SyntheticGraph,
-            "all-pairs-baseline" => ReleaseKind::AllPairsBaseline,
-            "shortcut-apsp" => ReleaseKind::ShortcutApsp,
-            _ => return None,
+        Self::ALL.into_iter().find(|k| k.as_str() == s)
+    }
+
+    /// The knobs beyond `eps` this kind's parameters take.
+    pub fn knobs(self) -> &'static [Knob] {
+        self.decl().knobs
+    }
+
+    /// Whether this kind's parameters take `knob`.
+    pub fn takes(self, knob: Knob) -> bool {
+        self.knobs().contains(&knob)
+    }
+
+    /// Whether a release of this kind can live in the store: it has a
+    /// distance surface *and* a persistence format, so the store can
+    /// both serve it and replay it from disk.
+    pub fn is_storable(self) -> bool {
+        self.decl().reach != Reach::Library
+    }
+
+    /// Whether a release of this kind can be served from a continual
+    /// namespace (a zero-noise re-run over the tree composer's estimate
+    /// must be exact post-processing).
+    pub fn is_continual_servable(self) -> bool {
+        self.decl().reach == Reach::Continual
+    }
+
+    /// Builds this kind's parameter object from `knobs` and runs
+    /// `visitor` with the kind's mechanism singleton.
+    ///
+    /// # Errors
+    /// [`EngineError::MissingKnob`] when the kind needs
+    /// [`Knob::MaxWeight`] and `knobs` has none; otherwise the parameter
+    /// constructor's own validation errors.
+    pub fn dispatch<V: MechanismVisitor>(
+        self,
+        knobs: &Knobs,
+        visitor: V,
+    ) -> Result<V::Output, EngineError> {
+        let Knobs {
+            eps,
+            delta,
+            gamma,
+            max_weight,
+        } = *knobs;
+        let max_weight = || {
+            max_weight.ok_or(EngineError::MissingKnob {
+                mechanism: self.as_str(),
+                knob: Knob::MaxWeight,
+            })
+        };
+        Ok(match self {
+            ReleaseKind::ShortestPath => visitor.visit(
+                &mechanisms::ShortestPaths,
+                &ShortestPathParams::new(eps, gamma)?,
+            ),
+            ReleaseKind::Tree => {
+                visitor.visit(&mechanisms::TreeAllPairs, &TreeDistanceParams::new(eps))
+            }
+            ReleaseKind::HldTree => {
+                visitor.visit(&mechanisms::HldTree, &TreeDistanceParams::new(eps))
+            }
+            ReleaseKind::BoundedWeight => {
+                let params = if delta.is_pure() {
+                    BoundedWeightParams::pure(eps, max_weight()?)
+                } else {
+                    BoundedWeightParams::approx(eps, delta, max_weight()?)
+                };
+                visitor.visit(&mechanisms::BoundedWeight, &params?)
+            }
+            ReleaseKind::Mst => visitor.visit(&mechanisms::Mst, &MstParams::new(eps)),
+            ReleaseKind::Matching => {
+                visitor.visit(&mechanisms::Matching::default(), &MatchingParams::new(eps))
+            }
+            ReleaseKind::SyntheticGraph => visitor.visit(
+                &mechanisms::SyntheticGraph,
+                &mechanisms::SyntheticGraphParams::new(eps),
+            ),
+            ReleaseKind::AllPairsBaseline => {
+                let params = if delta.is_pure() {
+                    mechanisms::AllPairsBaselineParams::basic(eps)
+                } else {
+                    mechanisms::AllPairsBaselineParams::advanced(eps, delta)?
+                };
+                visitor.visit(&mechanisms::AllPairsBaseline, &params)
+            }
+            ReleaseKind::ShortcutApsp => {
+                let params = if delta.is_pure() {
+                    ShortcutApspParams::pure(eps, max_weight()?)
+                } else {
+                    ShortcutApspParams::approx(eps, delta, max_weight()?)
+                };
+                visitor.visit(&mechanisms::ShortcutApsp, &params?)
+            }
         })
     }
 }
@@ -451,5 +676,93 @@ impl From<AllPairsDistanceRelease> for AnyRelease {
 impl From<ShortcutApspRelease> for AnyRelease {
     fn from(r: ShortcutApspRelease) -> Self {
         AnyRelease::ShortcutApsp(r)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use privpath_dp::ZeroNoise;
+    use privpath_graph::generators::{path_graph, uniform_weights};
+    use privpath_graph::{EdgeWeights, Topology};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// Everything observable about what a dispatch built, from public
+    /// inputs: the bound kind, declared cost and contract, and one
+    /// zero-noise answer.
+    struct Observe<'a> {
+        topo: &'a Topology,
+        weights: &'a EdgeWeights,
+    }
+
+    impl MechanismVisitor for Observe<'_> {
+        type Output = String;
+
+        fn visit<M: Mechanism>(self, mechanism: &M, params: &M::Params) -> String
+        where
+            AnyRelease: From<M::Release>,
+        {
+            let last = NodeId::new(self.topo.num_nodes() - 1);
+            let answer = mechanism
+                .release_with(self.topo, self.weights, params, &mut ZeroNoise)
+                .ok()
+                .map(AnyRelease::from)
+                .and_then(|r| r.as_distance()?.distance(NodeId::new(0), last).ok());
+            format!(
+                "{} {:?} {:?} {answer:?}",
+                mechanism.name(),
+                mechanism.privacy_cost(params),
+                mechanism.accuracy_contract(self.topo, params),
+            )
+        }
+    }
+
+    #[test]
+    fn each_kind_binds_its_mechanism_and_reads_exactly_its_knobs() {
+        let topo = path_graph(12);
+        let weights = uniform_weights(topo.num_edges(), 0.0, 1.0, &mut StdRng::seed_from_u64(5));
+        let observe = |kind: ReleaseKind, knobs: &Knobs| {
+            kind.dispatch(
+                knobs,
+                Observe {
+                    topo: &topo,
+                    weights: &weights,
+                },
+            )
+        };
+        let defaults = Knobs::new(Epsilon::new(1.0).unwrap());
+        let base = Knobs {
+            max_weight: Some(1.0),
+            ..defaults
+        };
+        for kind in ReleaseKind::ALL {
+            // `max-weight` has no default: a kind that takes it refuses
+            // to run without it, with a typed error.
+            let missing = kind
+                .takes(Knob::MaxWeight)
+                .then_some(EngineError::MissingKnob {
+                    mechanism: kind.as_str(),
+                    knob: Knob::MaxWeight,
+                });
+            assert_eq!(observe(kind, &defaults).err(), missing, "{kind}");
+
+            let seen = observe(kind, &base).unwrap();
+            assert!(seen.starts_with(&format!("{kind} ")), "{kind}: {seen}");
+            for knob in Knob::ALL {
+                let mut moved = base;
+                match knob {
+                    Knob::Delta => moved.delta = Delta::new(1e-6).unwrap(),
+                    Knob::Gamma => moved.gamma = 0.3,
+                    Knob::MaxWeight => moved.max_weight = Some(2.0),
+                }
+                let moved_seen = observe(kind, &moved).unwrap();
+                assert_eq!(
+                    kind.takes(knob),
+                    moved_seen != seen,
+                    "{kind} {knob}: {seen} vs {moved_seen}"
+                );
+            }
+        }
     }
 }

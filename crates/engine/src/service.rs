@@ -110,7 +110,7 @@ impl QueryService {
     /// # Errors
     /// [`EngineError::UnknownRelease`] for an id not in the snapshot;
     /// [`EngineError::UnsupportedQuery`] when the release carries no
-    /// contract (legacy storage); [`EngineError::Core`] for `gamma`
+    /// contract (adopted without one); [`EngineError::Core`] for `gamma`
     /// outside `(0, 1)`.
     pub fn accuracy(&self, id: ReleaseId, gamma: f64) -> Result<ErrorBound, EngineError> {
         let record = self

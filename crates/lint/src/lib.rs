@@ -19,11 +19,9 @@
 //!    with the temp-write + `sync_all` pattern.
 //! 4. `panic-freedom` — no `unwrap`/`expect`/`panic!`-family in
 //!    non-test serve/store code.
-//! 5. `mechanism-coupling` — every `ReleaseKind` variant has a named
-//!    mechanism with an accuracy contract and an accuracy-audit entry.
-//! 6. `budget-float-eq` — no float `==`/`!=` on budget values in
+//! 5. `budget-float-eq` — no float `==`/`!=` on budget values in
 //!    accounting paths.
-//! 7. `metrics-taint` — weight/noise-valued identifiers never flow into
+//! 6. `metrics-taint` — weight/noise-valued identifiers never flow into
 //!    observability sinks (the `metrics`/`trace` verbs export them).
 //!
 //! Suppressions use the in-source grammar
@@ -64,8 +62,8 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
-/// Lints a modeled file set: per-file rules, the cross-file coupling
-/// rule, then allow-directive application per file. Returns findings
+/// Lints a modeled file set: per-file rules, then allow-directive
+/// application per file. Returns findings
 /// sorted by `(path, line, rule)`.
 pub fn lint_files(files: &[SourceFile]) -> Vec<Diagnostic> {
     let known = rules::rule_ids();
@@ -73,11 +71,7 @@ pub fn lint_files(files: &[SourceFile]) -> Vec<Diagnostic> {
     for f in files {
         by_path.entry(f.path_str()).or_default();
     }
-    for d in files
-        .iter()
-        .flat_map(rules::check_file)
-        .chain(rules::mechanism_coupling(files))
-    {
+    for d in files.iter().flat_map(rules::check_file) {
         by_path.entry(d.path.clone()).or_default().push(d);
     }
     let mut out = Vec::new();

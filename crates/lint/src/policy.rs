@@ -14,14 +14,7 @@
 //!
 //! `crates/bench`, `examples/`, and test code run mechanisms on
 //! synthetic public data and are exempt from the noise-construction and
-//! panic rules; the audit file in `tests/` is read by the coupling rule.
-
-/// File defining `enum ReleaseKind` and its wire names.
-pub const RELEASE_KIND_FILE: &str = "crates/engine/src/release.rs";
-/// File holding every `impl Mechanism` with its declared contract.
-pub const MECHANISM_FILE: &str = "crates/engine/src/mechanism.rs";
-/// The exhaustive accuracy-audit suite every mechanism must appear in.
-pub const AUDIT_FILE: &str = "tests/accuracy_audit.rs";
+//! panic rules.
 
 /// Production source: workspace crates' `src/` trees plus the root
 /// crate's `src/`. Benches, examples, integration tests, vendored
@@ -65,7 +58,7 @@ pub fn budget_discipline_scope(path: &str) -> bool {
         && !path.starts_with("crates/dp/src/")
         && !path.starts_with("crates/lint/src/")
         && path != "crates/engine/src/engine.rs"
-        && path != MECHANISM_FILE
+        && path != "crates/engine/src/mechanism.rs"
 }
 
 /// Rule `crash-safety-commit`: all production code (any `rename` is a

@@ -15,8 +15,6 @@ pub const BUDGET_DISCIPLINE: &str = "budget-discipline";
 pub const CRASH_SAFETY: &str = "crash-safety-commit";
 /// Rule id for the panic-freedom rule.
 pub const PANIC_FREEDOM: &str = "panic-freedom";
-/// Rule id for the mechanism-coupling rule.
-pub const MECHANISM_COUPLING: &str = "mechanism-coupling";
 /// Rule id for the budget-float-eq rule.
 pub const BUDGET_FLOAT_EQ: &str = "budget-float-eq";
 /// Rule id for the metrics-taint rule.
@@ -43,11 +41,6 @@ pub const RULES: &[(&str, &str)] = &[
         PANIC_FREEDOM,
         "unwrap/expect/panic!/unreachable! are denied in non-test serve and \
          store code (a panic kills a worker or poisons a writer lock)",
-    ),
-    (
-        MECHANISM_COUPLING,
-        "every ReleaseKind variant needs a Mechanism declaring an accuracy \
-         contract and an entry in the tests/accuracy_audit.rs exhaustive match",
     ),
     (
         BUDGET_FLOAT_EQ,
@@ -426,246 +419,6 @@ fn metrics_taint(file: &SourceFile) -> Vec<Diagnostic> {
             }
             j += 1;
         }
-    }
-    out
-}
-
-/// Rule `mechanism-coupling`: cross-file check tying every
-/// `ReleaseKind` variant to a named `Mechanism` impl that declares an
-/// accuracy contract, and to the accuracy audit's exhaustive match.
-pub fn mechanism_coupling(files: &[SourceFile]) -> Vec<Diagnostic> {
-    let find = |suffix: &str| files.iter().find(|f| f.path_str().ends_with(suffix));
-    let (Some(release), Some(mech), Some(audit)) = (
-        find(policy::RELEASE_KIND_FILE),
-        find(policy::MECHANISM_FILE),
-        find(policy::AUDIT_FILE),
-    ) else {
-        // A partial file set (single-file invocation): nothing to couple.
-        return Vec::new();
-    };
-
-    let variants = enum_variants(release, "ReleaseKind");
-    let wire_names = as_str_names(release);
-    let audited = path_refs(audit, "ReleaseKind");
-    let impls = mechanism_impls(mech);
-
-    let mut out = Vec::new();
-    for (variant, line) in &variants {
-        if !audited.contains(variant) {
-            out.push(finding(
-                MECHANISM_COUPLING,
-                release,
-                *line,
-                format!(
-                    "ReleaseKind::{variant} does not appear in {}: a mechanism \
-                     cannot ship without an entry in the exhaustive accuracy \
-                     audit match",
-                    policy::AUDIT_FILE
-                ),
-            ));
-        }
-        let Some(name) = wire_names.get(variant) else {
-            out.push(finding(
-                MECHANISM_COUPLING,
-                release,
-                *line,
-                format!(
-                    "ReleaseKind::{variant} has no `as_str` wire name arm; the \
-                     variant cannot be coupled to a mechanism"
-                ),
-            ));
-            continue;
-        };
-        match impls.iter().find(|m| m.name.as_deref() == Some(name)) {
-            None => out.push(finding(
-                MECHANISM_COUPLING,
-                release,
-                *line,
-                format!(
-                    "no `impl Mechanism` in {} declares `name()` = {name:?} for \
-                     ReleaseKind::{variant}",
-                    policy::MECHANISM_FILE
-                ),
-            )),
-            Some(m) if !m.has_contract => out.push(finding(
-                MECHANISM_COUPLING,
-                mech,
-                m.line,
-                format!(
-                    "mechanism {name:?} (ReleaseKind::{variant}) declares no \
-                     `accuracy_contract` referencing an AccuracyContract / \
-                     Theorem: every mechanism must state what it guarantees"
-                ),
-            )),
-            Some(_) => {}
-        }
-    }
-    out
-}
-
-/// The variants (name, line) of `enum <name>` in `file`.
-fn enum_variants(file: &SourceFile, enum_name: &str) -> Vec<(String, u32)> {
-    let toks = &file.tokens;
-    let mut i = 0usize;
-    while i + 2 < toks.len() {
-        if toks[i].is_ident("enum") && toks[i + 1].is_ident(enum_name) {
-            // Scan to the opening brace (skipping generics).
-            let mut j = i + 2;
-            while j < toks.len() && !toks[j].is_punct("{") {
-                j += 1;
-            }
-            let mut depth = 0usize;
-            let mut variants = Vec::new();
-            while j < toks.len() {
-                let t = &toks[j];
-                // Skip attributes (`#[...]`): their idents are not
-                // variants even at depth 1.
-                if t.is_punct("#") && toks.get(j + 1).is_some_and(|n| n.is_punct("[")) {
-                    let mut bracket = 0usize;
-                    j += 1;
-                    while j < toks.len() {
-                        if toks[j].is_punct("[") {
-                            bracket += 1;
-                        } else if toks[j].is_punct("]") {
-                            bracket -= 1;
-                            if bracket == 0 {
-                                break;
-                            }
-                        }
-                        j += 1;
-                    }
-                    j += 1;
-                    continue;
-                }
-                if t.is_punct("{") || t.is_punct("(") {
-                    depth += 1;
-                } else if t.is_punct("}") || t.is_punct(")") {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if depth == 1
-                    && t.kind == TokKind::Ident
-                    && toks
-                        .get(j + 1)
-                        .is_some_and(|n| n.is_punct(",") || n.is_punct("}") || n.is_punct("("))
-                {
-                    variants.push((t.text.clone(), t.line));
-                    // A payloaded variant's parens are handled by the
-                    // depth tracking above.
-                }
-                j += 1;
-            }
-            return variants;
-        }
-        i += 1;
-    }
-    Vec::new()
-}
-
-/// Map variant → wire-name string from `ReleaseKind::V => "name"` arms.
-fn as_str_names(file: &SourceFile) -> std::collections::BTreeMap<String, String> {
-    let toks = &file.tokens;
-    let mut map = std::collections::BTreeMap::new();
-    for i in 0..toks.len() {
-        if toks[i].is_ident("ReleaseKind")
-            && toks.get(i + 1).is_some_and(|t| t.is_punct("::"))
-            && toks.get(i + 2).is_some_and(|t| t.kind == TokKind::Ident)
-            && toks.get(i + 3).is_some_and(|t| t.is_punct("=>"))
-            && toks.get(i + 4).is_some_and(Tok::is_string)
-        {
-            if let Some(v) = toks[i + 4].string_value() {
-                map.entry(toks[i + 2].text.clone())
-                    .or_insert_with(|| v.to_string());
-            }
-        }
-    }
-    map
-}
-
-/// Set of `X` identifiers appearing as `<root>::X` in `file`.
-fn path_refs(file: &SourceFile, root: &str) -> std::collections::BTreeSet<String> {
-    let toks = &file.tokens;
-    let mut set = std::collections::BTreeSet::new();
-    for i in 0..toks.len() {
-        if toks[i].is_ident(root)
-            && toks.get(i + 1).is_some_and(|t| t.is_punct("::"))
-            && toks.get(i + 2).is_some_and(|t| t.kind == TokKind::Ident)
-        {
-            set.insert(toks[i + 2].text.clone());
-        }
-    }
-    set
-}
-
-/// One `impl Mechanism for T` block's declared wire name and whether it
-/// states an accuracy contract.
-struct MechanismImpl {
-    name: Option<String>,
-    has_contract: bool,
-    line: u32,
-}
-
-/// Extracts every `impl Mechanism for T { ... }` block in `file`.
-fn mechanism_impls(file: &SourceFile) -> Vec<MechanismImpl> {
-    let toks = &file.tokens;
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < toks.len() {
-        if !toks[i].is_ident("impl") {
-            i += 1;
-            continue;
-        }
-        // Within the next few tokens (generics allowed): `Mechanism for`.
-        let window_end = (i + 12).min(toks.len());
-        let is_mech = (i..window_end).any(|j| {
-            toks[j].is_ident("Mechanism") && toks.get(j + 1).is_some_and(|t| t.is_ident("for"))
-        });
-        if !is_mech {
-            i += 1;
-            continue;
-        }
-        let mut j = i;
-        while j < toks.len() && !toks[j].is_punct("{") {
-            j += 1;
-        }
-        let mut depth = 0usize;
-        let mut end = toks.len();
-        let mut k = j;
-        while k < toks.len() {
-            if toks[k].is_punct("{") {
-                depth += 1;
-            } else if toks[k].is_punct("}") {
-                depth -= 1;
-                if depth == 0 {
-                    end = k + 1;
-                    break;
-                }
-            }
-            k += 1;
-        }
-        let body = &toks[j..end];
-        let has_contract = body.iter().any(|t| t.is_ident("accuracy_contract"))
-            && body
-                .iter()
-                .any(|t| t.is_ident("AccuracyContract") || t.is_ident("Theorem"));
-        // `fn name` ... first string literal in its body.
-        let mut name = None;
-        for b in 0..body.len() {
-            if body[b].is_ident("fn") && body.get(b + 1).is_some_and(|t| t.is_ident("name")) {
-                name = body[b..]
-                    .iter()
-                    .take(24)
-                    .find_map(|t| t.string_value().map(str::to_string));
-                break;
-            }
-        }
-        out.push(MechanismImpl {
-            name,
-            has_contract,
-            line: toks[i].line,
-        });
-        i = end;
     }
     out
 }

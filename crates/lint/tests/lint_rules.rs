@@ -119,56 +119,6 @@ fn unwrap_outside_serve_store_is_not_this_rules_business() {
     assert!(diags.iter().all(|d| d.rule != "panic-freedom"), "{diags:?}");
 }
 
-// ---- mechanism-coupling ----
-
-fn coupling_set<'a>(
-    release: &'a str,
-    mechanism: &'a str,
-    audit: &'a str,
-) -> Vec<(&'a str, &'a str)> {
-    vec![
-        ("crates/engine/src/release.rs", release),
-        ("crates/engine/src/mechanism.rs", mechanism),
-        ("tests/accuracy_audit.rs", audit),
-    ]
-}
-
-#[test]
-fn fully_coupled_variants_are_clean() {
-    let (r, m, a) = (
-        fixture("coupling_release.rs"),
-        fixture("coupling_mechanism_ok.rs"),
-        fixture("coupling_audit_ok.rs"),
-    );
-    let diags = lint_sources(&coupling_set(&r, &m, &a));
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn variant_missing_from_audit_is_flagged() {
-    let (r, m, a) = (
-        fixture("coupling_release.rs"),
-        fixture("coupling_mechanism_ok.rs"),
-        fixture("coupling_audit_missing.rs"),
-    );
-    let diags = lint_sources(&coupling_set(&r, &m, &a));
-    assert_eq!(rules_fired(&diags), vec!["mechanism-coupling"], "{diags:?}");
-    assert!(diags[0].message.contains("ShortestPath"));
-    assert!(diags[0].message.contains("accuracy_audit"));
-}
-
-#[test]
-fn mechanism_without_contract_is_flagged() {
-    let (r, m, a) = (
-        fixture("coupling_release.rs"),
-        fixture("coupling_mechanism_no_contract.rs"),
-        fixture("coupling_audit_ok.rs"),
-    );
-    let diags = lint_sources(&coupling_set(&r, &m, &a));
-    assert_eq!(rules_fired(&diags), vec!["mechanism-coupling"], "{diags:?}");
-    assert!(diags[0].message.contains("accuracy_contract"));
-}
-
 // ---- budget-float-eq ----
 
 #[test]

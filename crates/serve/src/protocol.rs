@@ -460,7 +460,9 @@ pub(crate) fn engine_error_code(e: &EngineError) -> ErrorCode {
         EngineError::BudgetExhausted { .. }
         | EngineError::EmptyBudgetPlan
         | EngineError::DegenerateAllocation { .. } => ErrorCode::Budget,
-        EngineError::Core(_) | EngineError::Dp(_) => ErrorCode::Query,
+        EngineError::Core(_) | EngineError::Dp(_) | EngineError::MissingKnob { .. } => {
+            ErrorCode::Query
+        }
         EngineError::Persist(_) => ErrorCode::Internal,
     }
 }

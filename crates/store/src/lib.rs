@@ -100,7 +100,7 @@ mod store;
 
 pub use continual::ContinualStatus;
 pub use error::StoreError;
-pub use spec::{is_continual_servable, is_storable, ReleaseSpec};
+pub use spec::ReleaseSpec;
 pub use store::{
     is_valid_namespace, NamespaceSnapshot, NamespaceStats, PublishReceipt, ReleaseStore,
     UpdateReceipt, FROZEN_NAMESPACE,

@@ -11,83 +11,31 @@
 //!         ["max-weight" <f64>]
 //! ```
 //!
-//! Knobs are mechanism-checked: `gamma` belongs to `shortest-path` only,
-//! `delta` to the composition-based kinds (`bounded-weight`,
-//! `shortcut-apsp`, `all-pairs-baseline`), and `max-weight` is required
-//! by exactly the bounded-weight kinds (`bounded-weight`,
-//! `shortcut-apsp`). Structure-releasing kinds (`mst`, `matching`) and
-//! `hld-tree` have no persistence/serve surface and are rejected at spec
+//! Knobs are checked against the engine's kind table
+//! ([`ReleaseKind::takes`]): a knob the spec's kind does not take is
+//! refused rather than silently ignored, and a missing `max-weight`
+//! (which has no default) fails the run. Kinds the table marks
+//! unstorable (no persistence/serve surface) are rejected at spec
 //! construction, so a store can never hold a release it cannot replay.
 
 use crate::error::StoreError;
-use privpath_core::bounded::BoundedWeightParams;
 use privpath_core::bounds::AccuracyContract;
-use privpath_core::shortcut::ShortcutApspParams;
-use privpath_core::shortest_path::ShortestPathParams;
-use privpath_core::tree_distance::TreeDistanceParams;
 use privpath_dp::{Delta, Epsilon, NoiseSource};
-use privpath_engine::{mechanisms, AnyRelease, EngineError, Mechanism, ReleaseKind};
+use privpath_engine::{
+    AnyRelease, EngineError, Knob, Knobs, Mechanism, MechanismVisitor, ReleaseKind, DEFAULT_GAMMA,
+};
 use privpath_graph::{EdgeWeights, Topology};
-
-/// The default confidence knob for `shortest-path` specs (matches
-/// [`privpath_engine::DEFAULT_GAMMA`]).
-const DEFAULT_SPEC_GAMMA: f64 = 0.05;
 
 /// A re-runnable release request: mechanism plus every knob needed to
 /// run it again on the same topology with different weights.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ReleaseSpec {
     kind: ReleaseKind,
-    eps: Epsilon,
-    delta: Delta,
-    gamma: f64,
-    max_weight: Option<f64>,
-}
-
-/// The parameter object a spec builds, one variant per servable kind.
-enum BuiltParams {
-    ShortestPath(ShortestPathParams),
-    Tree(TreeDistanceParams),
-    Bounded(BoundedWeightParams),
-    Shortcut(ShortcutApspParams),
-    Synthetic(mechanisms::SyntheticGraphParams),
-    AllPairs(mechanisms::AllPairsBaselineParams),
+    knobs: Knobs,
 }
 
 fn invalid(msg: impl Into<String>) -> StoreError {
     StoreError::InvalidSpec(msg.into())
-}
-
-/// Whether a release kind can live in the store: it must have a distance
-/// surface *and* a persistence format, so the store can both serve it
-/// and replay it from disk.
-pub fn is_storable(kind: ReleaseKind) -> bool {
-    matches!(
-        kind,
-        ReleaseKind::ShortestPath
-            | ReleaseKind::Tree
-            | ReleaseKind::BoundedWeight
-            | ReleaseKind::SyntheticGraph
-            | ReleaseKind::AllPairsBaseline
-            | ReleaseKind::ShortcutApsp
-    )
-}
-
-/// Whether a release kind can be served from a **continual** namespace.
-/// Continual serving re-runs the spec with zero mechanism noise over the
-/// tree composer's already-noisy weight estimate — pure post-processing —
-/// so the mechanism must be *exact* given its input weights. The
-/// bounded-weight kinds (`bounded-weight`, `shortcut-apsp`) carry a
-/// structural detour error of their own on top of the noise, which the
-/// `ContinualRelease` contract cannot absorb; they are refused.
-pub fn is_continual_servable(kind: ReleaseKind) -> bool {
-    matches!(
-        kind,
-        ReleaseKind::ShortestPath
-            | ReleaseKind::Tree
-            | ReleaseKind::SyntheticGraph
-            | ReleaseKind::AllPairsBaseline
-    )
 }
 
 impl ReleaseSpec {
@@ -95,9 +43,9 @@ impl ReleaseSpec {
     ///
     /// # Errors
     /// [`StoreError::InvalidSpec`] for kinds without a live-store surface
-    /// (`mst`, `matching`, `hld-tree`).
+    /// ([`ReleaseKind::is_storable`]).
     pub fn new(kind: ReleaseKind, eps: Epsilon) -> Result<Self, StoreError> {
-        if !is_storable(kind) {
+        if !kind.is_storable() {
             return Err(invalid(format!(
                 "mechanism `{kind}` has no live-store surface (no persistence \
                  format or no distance queries)"
@@ -105,11 +53,24 @@ impl ReleaseSpec {
         }
         Ok(ReleaseSpec {
             kind,
-            eps,
-            delta: Delta::zero(),
-            gamma: DEFAULT_SPEC_GAMMA,
-            max_weight: None,
+            knobs: Knobs::new(eps),
         })
+    }
+
+    /// Refuses `knob` unless the spec's kind takes it (the knob would be
+    /// silently ignored, which a typed spec refuses to do).
+    fn check_takes(&self, knob: Knob) -> Result<(), StoreError> {
+        if self.kind.takes(knob) {
+            return Ok(());
+        }
+        let kind = self.kind;
+        Err(invalid(match knob {
+            Knob::Delta => format!("mechanism `{kind}` is pure-DP; `delta` does not apply"),
+            Knob::Gamma => format!("`gamma` is a {} knob; mechanism is `{kind}`", knob.kinds()),
+            Knob::MaxWeight => {
+                format!("`max-weight` applies to bounded-weight kinds only; mechanism is `{kind}`")
+            }
+        }))
     }
 
     /// Selects approximate DP (`delta > 0`) for the composition-based
@@ -119,55 +80,31 @@ impl ReleaseSpec {
     /// [`StoreError::InvalidSpec`] for kinds whose mechanism is pure-DP
     /// only.
     pub fn with_delta(mut self, delta: Delta) -> Result<Self, StoreError> {
-        if !delta.is_pure()
-            && !matches!(
-                self.kind,
-                ReleaseKind::BoundedWeight
-                    | ReleaseKind::ShortcutApsp
-                    | ReleaseKind::AllPairsBaseline
-            )
-        {
-            return Err(invalid(format!(
-                "mechanism `{}` is pure-DP; `delta` does not apply",
-                self.kind
-            )));
+        if !delta.is_pure() {
+            self.check_takes(Knob::Delta)?;
         }
-        self.delta = delta;
+        self.knobs.delta = delta;
         Ok(self)
     }
 
     /// Sets the `shortest-path` confidence knob.
     ///
     /// # Errors
-    /// [`StoreError::InvalidSpec`] for other kinds (the knob would be
-    /// silently ignored, which a typed spec refuses to do).
+    /// [`StoreError::InvalidSpec`] for kinds that do not take it.
     pub fn with_gamma(mut self, gamma: f64) -> Result<Self, StoreError> {
-        if self.kind != ReleaseKind::ShortestPath {
-            return Err(invalid(format!(
-                "`gamma` is a shortest-path knob; mechanism is `{}`",
-                self.kind
-            )));
-        }
-        self.gamma = gamma;
+        self.check_takes(Knob::Gamma)?;
+        self.knobs.gamma = gamma;
         Ok(self)
     }
 
-    /// Sets the bounded-weight promise `M` (required by `bounded-weight`
-    /// and `shortcut-apsp`).
+    /// Sets the bounded-weight promise `M` (required by the kinds that
+    /// take it).
     ///
     /// # Errors
     /// [`StoreError::InvalidSpec`] for kinds without a weight bound.
     pub fn with_max_weight(mut self, max_weight: f64) -> Result<Self, StoreError> {
-        if !matches!(
-            self.kind,
-            ReleaseKind::BoundedWeight | ReleaseKind::ShortcutApsp
-        ) {
-            return Err(invalid(format!(
-                "`max-weight` applies to bounded-weight kinds only; mechanism is `{}`",
-                self.kind
-            )));
-        }
-        self.max_weight = Some(max_weight);
+        self.check_takes(Knob::MaxWeight)?;
+        self.knobs.max_weight = Some(max_weight);
         Ok(self)
     }
 
@@ -178,12 +115,12 @@ impl ReleaseSpec {
 
     /// The epsilon one run of this spec costs.
     pub fn eps(&self) -> Epsilon {
-        self.eps
+        self.knobs.eps
     }
 
     /// The delta one run of this spec costs.
     pub fn delta(&self) -> Delta {
-        self.delta
+        self.knobs.delta
     }
 
     /// The `(eps, delta)` one run debits — every storable mechanism's
@@ -192,19 +129,25 @@ impl ReleaseSpec {
     /// building params. Used to pre-check a whole `update-weights` pass
     /// against the budget before any noise is drawn.
     pub fn cost(&self) -> (f64, f64) {
-        (self.eps.value(), self.delta.value())
+        (self.knobs.eps.value(), self.knobs.delta.value())
     }
 
     /// The canonical token form (also valid inside a longer wire line).
     pub fn to_line(&self) -> String {
-        let mut line = format!("{} eps {:?}", self.kind, self.eps.value());
-        if !self.delta.is_pure() {
-            line.push_str(&format!(" delta {:?}", self.delta.value()));
+        let Knobs {
+            eps,
+            delta,
+            gamma,
+            max_weight,
+        } = self.knobs;
+        let mut line = format!("{} eps {:?}", self.kind, eps.value());
+        if !delta.is_pure() {
+            line.push_str(&format!(" delta {:?}", delta.value()));
         }
-        if self.kind == ReleaseKind::ShortestPath && self.gamma != DEFAULT_SPEC_GAMMA {
-            line.push_str(&format!(" gamma {:?}", self.gamma));
+        if gamma != DEFAULT_GAMMA {
+            line.push_str(&format!(" gamma {gamma:?}"));
         }
-        if let Some(m) = self.max_weight {
+        if let Some(m) = max_weight {
             line.push_str(&format!(" max-weight {m:?}"));
         }
         line
@@ -277,54 +220,6 @@ impl ReleaseSpec {
         Ok(spec)
     }
 
-    /// Builds the mechanism's parameter object.
-    fn build_params(&self) -> Result<BuiltParams, StoreError> {
-        let require_max_weight = || {
-            self.max_weight
-                .ok_or_else(|| invalid(format!("mechanism `{}` needs `max-weight`", self.kind)))
-        };
-        Ok(match self.kind {
-            ReleaseKind::ShortestPath => BuiltParams::ShortestPath(
-                ShortestPathParams::new(self.eps, self.gamma).map_err(EngineError::from)?,
-            ),
-            ReleaseKind::Tree => BuiltParams::Tree(TreeDistanceParams::new(self.eps)),
-            ReleaseKind::BoundedWeight => {
-                let m = require_max_weight()?;
-                BuiltParams::Bounded(
-                    if self.delta.is_pure() {
-                        BoundedWeightParams::pure(self.eps, m)
-                    } else {
-                        BoundedWeightParams::approx(self.eps, self.delta, m)
-                    }
-                    .map_err(EngineError::from)?,
-                )
-            }
-            ReleaseKind::ShortcutApsp => {
-                let m = require_max_weight()?;
-                BuiltParams::Shortcut(
-                    if self.delta.is_pure() {
-                        ShortcutApspParams::pure(self.eps, m)
-                    } else {
-                        ShortcutApspParams::approx(self.eps, self.delta, m)
-                    }
-                    .map_err(EngineError::from)?,
-                )
-            }
-            ReleaseKind::SyntheticGraph => {
-                BuiltParams::Synthetic(mechanisms::SyntheticGraphParams::new(self.eps))
-            }
-            ReleaseKind::AllPairsBaseline => BuiltParams::AllPairs(if self.delta.is_pure() {
-                mechanisms::AllPairsBaselineParams::basic(self.eps)
-            } else {
-                mechanisms::AllPairsBaselineParams::advanced(self.eps, self.delta)?
-            }),
-            ReleaseKind::Mst | ReleaseKind::Matching | ReleaseKind::HldTree => {
-                // privlint: allow(panic-freedom, "ReleaseSpec constructors refuse these kinds, so build() never sees them")
-                unreachable!("rejected at construction")
-            }
-        })
-    }
-
     /// Runs the spec's mechanism over `(topo, weights)` **without
     /// touching any registry** — the staging half of the store's
     /// two-phase commit. The caller (under its write lock) installs the
@@ -343,38 +238,51 @@ impl ReleaseSpec {
         weights: &EdgeWeights,
         noise: &mut impl NoiseSource,
     ) -> Result<StagedRelease, StoreError> {
-        fn stage<M: Mechanism>(
-            mechanism: &M,
-            params: &M::Params,
-            topo: &Topology,
-            weights: &EdgeWeights,
-            noise: &mut impl NoiseSource,
-        ) -> Result<StagedRelease, StoreError>
-        where
-            AnyRelease: From<M::Release>,
-        {
-            let cost = mechanism.privacy_cost(params);
-            Ok(StagedRelease {
-                eps: cost.eps().value(),
-                delta: cost.delta().value(),
-                accuracy: mechanism.accuracy_contract(topo, params),
-                release: AnyRelease::from(mechanism.release_with(topo, weights, params, noise)?),
-            })
-        }
-        match self.build_params()? {
-            BuiltParams::ShortestPath(p) => {
-                stage(&mechanisms::ShortestPaths, &p, topo, weights, noise)
-            }
-            BuiltParams::Tree(p) => stage(&mechanisms::TreeAllPairs, &p, topo, weights, noise),
-            BuiltParams::Bounded(p) => stage(&mechanisms::BoundedWeight, &p, topo, weights, noise),
-            BuiltParams::Shortcut(p) => stage(&mechanisms::ShortcutApsp, &p, topo, weights, noise),
-            BuiltParams::Synthetic(p) => {
-                stage(&mechanisms::SyntheticGraph, &p, topo, weights, noise)
-            }
-            BuiltParams::AllPairs(p) => {
-                stage(&mechanisms::AllPairsBaseline, &p, topo, weights, noise)
-            }
-        }
+        let staged = self
+            .kind
+            .dispatch(
+                &self.knobs,
+                Stage {
+                    topo,
+                    weights,
+                    noise,
+                },
+            )
+            .map_err(|e| match e {
+                EngineError::MissingKnob { .. } => invalid(e.to_string()),
+                other => StoreError::Engine(other),
+            })?;
+        Ok(staged?)
+    }
+}
+
+/// The staging visitor behind [`ReleaseSpec::run`]: declares the cost
+/// and contract, then runs the mechanism.
+struct Stage<'a, N> {
+    topo: &'a Topology,
+    weights: &'a EdgeWeights,
+    noise: &'a mut N,
+}
+
+impl<N: NoiseSource> MechanismVisitor for Stage<'_, N> {
+    type Output = Result<StagedRelease, EngineError>;
+
+    fn visit<M: Mechanism>(self, mechanism: &M, params: &M::Params) -> Self::Output
+    where
+        AnyRelease: From<M::Release>,
+    {
+        let cost = mechanism.privacy_cost(params);
+        Ok(StagedRelease {
+            eps: cost.eps().value(),
+            delta: cost.delta().value(),
+            accuracy: mechanism.accuracy_contract(self.topo, params),
+            release: AnyRelease::from(mechanism.release_with(
+                self.topo,
+                self.weights,
+                params,
+                self.noise,
+            )?),
+        })
     }
 }
 

@@ -29,7 +29,7 @@ use crate::manifest::{
     atomic_write, read_manifest, release_file_name, write_manifest, ContinualManifest,
     ManifestData, GEO_INDEX_FILE, MANIFEST_FILE, TOPOLOGY_FILE, WEIGHTS_FILE,
 };
-use crate::spec::{is_continual_servable, ReleaseSpec, StagedRelease};
+use crate::spec::{ReleaseSpec, StagedRelease};
 use privpath_core::model::WeightUpdate;
 use privpath_dp::zcdp::max_rho_for_epsilon;
 use privpath_dp::{Accountant, Delta, Epsilon, RngNoise, ZeroNoise};
@@ -779,7 +779,7 @@ impl ReleaseStore {
         // weights, zero marginal ledger cost — so only kinds whose
         // mechanism is exact under `ZeroNoise` are admissible.
         let staged = if let Some((state, _)) = &w.continual {
-            if !is_continual_servable(spec.kind()) {
+            if !spec.kind().is_continual_servable() {
                 return Err(StoreError::InvalidSpec(format!(
                     "{} releases cannot be served continually: the mechanism perturbs \
                      per-release structure instead of post-processing the tree estimate",

@@ -16,7 +16,9 @@
 //! privpath inspect   --release demo.shortest-path.release   # incl. accuracy contract
 //! ```
 
-use privpath::engine::{mechanisms, read_release, QueryService, ReleaseEngine, ReleaseKind};
+use privpath::engine::{
+    read_release, Knob, Knobs, MechanismVisitor, QueryService, ReleaseEngine, ReleaseKind,
+};
 use privpath::geo::{generate_road_network, read_co_path, read_gr_path, write_co, write_gr};
 use privpath::graph::generators::{random_geometric_graph, random_tree_prufer, uniform_weights};
 use privpath::graph::io::{read_topology, read_weights, write_topology, write_weights};
@@ -345,124 +347,141 @@ fn gen_demo(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs one mechanism's calibration against a target and reports the
-/// smallest satisfying epsilon plus the contract it buys.
-fn calibrate_one<M: Mechanism>(
-    mechanism: &M,
-    topo: &Topology,
-    template: &M::Params,
-    target: &ErrorTarget,
-) -> Result<(f64, privpath::engine::ErrorBound), String> {
-    let eps = mechanism.calibrate(topo, template, target).ok_or_else(|| {
+/// Parses a `--mechanism` name, admitting only the kinds `keep` accepts.
+fn parse_kind(name: &str, keep: fn(&ReleaseKind) -> bool) -> Result<ReleaseKind, String> {
+    ReleaseKind::parse(name).filter(keep).ok_or_else(|| {
+        let names: Vec<&str> = ReleaseKind::ALL
+            .iter()
+            .filter(|k| keep(k))
+            .map(ReleaseKind::as_str)
+            .collect();
         format!(
-            "cannot calibrate `{}` to error <= {} at gamma {} (target below the \
-             bound's floor?)",
-            mechanism.name(),
-            target.alpha(),
-            target.gamma()
+            "unknown mechanism {name:?} (expected one of: {})",
+            names.join(", ")
         )
-    })?;
-    let params = mechanism.with_eps(template, eps);
-    let bound = mechanism
-        .error_bound(topo, &params, target.gamma())
-        .ok_or_else(|| format!("`{}` declares no accuracy contract", mechanism.name()))?;
-    Ok((eps.value(), bound))
+    })
+}
+
+/// Reads the flags of `knobs` into [`Knobs`] at `eps`. A flag given must
+/// be taken by at least one of `kinds`; [`ReleaseKind::dispatch`] then
+/// applies it to exactly the kinds that take it.
+fn knob_flags(
+    flags: &HashMap<String, String>,
+    kinds: &[ReleaseKind],
+    knobs: &[Knob],
+    eps: Epsilon,
+) -> Result<Knobs, String> {
+    let mut out = Knobs::new(eps);
+    for &knob in knobs {
+        let Some(raw) = flags.get(knob.as_str()) else {
+            continue;
+        };
+        if !kinds.iter().any(|k| k.takes(knob)) {
+            return Err(format!(
+                "--{knob} applies to none of the listed mechanisms (only to {})",
+                knob.kinds()
+            ));
+        }
+        let value: f64 = parse(raw, knob.as_str())?;
+        match knob {
+            Knob::Delta => out.delta = Delta::new(value).map_err(|e| e.to_string())?,
+            Knob::Gamma => out.gamma = value,
+            Knob::MaxWeight => out.max_weight = Some(value),
+        }
+    }
+    Ok(out)
+}
+
+/// Phrases a [`ReleaseKind::dispatch`] failure in CLI flag terms.
+fn dispatch_error(e: EngineError) -> String {
+    match e {
+        EngineError::MissingKnob { mechanism, knob } => {
+            format!("--mechanism {mechanism} needs --{knob}")
+        }
+        other => other.to_string(),
+    }
+}
+
+/// Solves one mechanism's accuracy theorem backwards: the smallest
+/// epsilon meeting the target, plus the contract it buys.
+struct Calibrate<'a> {
+    topo: &'a Topology,
+    target: &'a ErrorTarget,
+}
+
+impl MechanismVisitor for Calibrate<'_> {
+    type Output = Result<(f64, ErrorBound), String>;
+
+    fn visit<M: Mechanism>(self, mechanism: &M, template: &M::Params) -> Self::Output
+    where
+        AnyRelease: From<M::Release>,
+    {
+        let Calibrate { topo, target } = self;
+        let eps = mechanism.calibrate(topo, template, target).ok_or_else(|| {
+            format!(
+                "cannot calibrate `{}` to error <= {} at gamma {} (target below the \
+                 bound's floor?)",
+                mechanism.name(),
+                target.alpha(),
+                target.gamma()
+            )
+        })?;
+        let params = mechanism.with_eps(template, eps);
+        let bound = mechanism
+            .error_bound(topo, &params, target.gamma())
+            .ok_or_else(|| format!("`{}` declares no accuracy contract", mechanism.name()))?;
+        Ok((eps.value(), bound))
+    }
+}
+
+/// Runs one mechanism through the engine's budget-checked write path.
+struct Release<'a, R> {
+    engine: &'a mut ReleaseEngine,
+    rng: &'a mut R,
+}
+
+impl<R: Rng> MechanismVisitor for Release<'_, R> {
+    type Output = Result<ReleaseId, String>;
+
+    fn visit<M: Mechanism>(self, mechanism: &M, params: &M::Params) -> Self::Output
+    where
+        AnyRelease: From<M::Release>,
+    {
+        self.engine
+            .release(mechanism, params, self.rng)
+            .map_err(|e| e.to_string())
+    }
 }
 
 fn calibrate(flags: &HashMap<String, String>) -> Result<(), String> {
     let topo_file = File::open(required(flags, "topo")?).map_err(|e| e.to_string())?;
     let topo = read_topology(BufReader::new(topo_file)).map_err(|e| e.to_string())?;
     let alpha: f64 = parse(required(flags, "target-alpha")?, "target alpha")?;
-    let gamma: f64 = flags.get("gamma").map_or(Ok(0.05), |s| parse(s, "gamma"))?;
+    let gamma: f64 = flags
+        .get("gamma")
+        .map_or(Ok(DEFAULT_GAMMA), |s| parse(s, "gamma"))?;
     let target = ErrorTarget::new(alpha, gamma).map_err(|e| e.to_string())?;
     let name = flags
         .get("mechanism")
         .map_or("shortest-path", String::as_str);
-    // The template epsilon is a placeholder: calibration solves for it;
-    // every other knob (gamma, delta, max-weight) comes from the flags.
+    let kind = parse_kind(name, |_| true)?;
+    // The template epsilon is a placeholder: calibration solves for it.
+    // `--gamma` is the target confidence for every kind (and the
+    // shortest-path shift confidence); the other knobs come from flags.
     let unit = Epsilon::new(1.0).expect("valid constant");
-
-    let (eps, bound) = match name {
-        "shortest-path" => {
-            let params = ShortestPathParams::new(unit, gamma).map_err(|e| e.to_string())?;
-            calibrate_one(&mechanisms::ShortestPaths, &topo, &params, &target)?
-        }
-        "tree" => calibrate_one(
-            &mechanisms::TreeAllPairs,
-            &topo,
-            &TreeDistanceParams::new(unit),
-            &target,
-        )?,
-        "hld-tree" => calibrate_one(
-            &mechanisms::HldTree,
-            &topo,
-            &TreeDistanceParams::new(unit),
-            &target,
-        )?,
-        "bounded-weight" => {
-            let max_weight: f64 = parse(
-                required(flags, "max-weight")
-                    .map_err(|_| "--mechanism bounded-weight needs --max-weight".to_string())?,
-                "max weight",
-            )?;
-            let params = match flags.get("delta") {
-                Some(d) => {
-                    let delta = Delta::new(parse(d, "delta")?).map_err(|e| e.to_string())?;
-                    BoundedWeightParams::approx(unit, delta, max_weight)
-                }
-                None => BoundedWeightParams::pure(unit, max_weight),
-            }
-            .map_err(|e| e.to_string())?;
-            calibrate_one(&mechanisms::BoundedWeight, &topo, &params, &target)?
-        }
-        "shortcut-apsp" => {
-            let max_weight: f64 = parse(
-                required(flags, "max-weight")
-                    .map_err(|_| "--mechanism shortcut-apsp needs --max-weight".to_string())?,
-                "max weight",
-            )?;
-            let params = match flags.get("delta") {
-                Some(d) => {
-                    let delta = Delta::new(parse(d, "delta")?).map_err(|e| e.to_string())?;
-                    ShortcutApspParams::approx(unit, delta, max_weight)
-                }
-                None => ShortcutApspParams::pure(unit, max_weight),
-            }
-            .map_err(|e| e.to_string())?;
-            calibrate_one(&mechanisms::ShortcutApsp, &topo, &params, &target)?
-        }
-        "synthetic-graph" => calibrate_one(
-            &mechanisms::SyntheticGraph,
-            &topo,
-            &mechanisms::SyntheticGraphParams::new(unit),
-            &target,
-        )?,
-        "all-pairs-baseline" => {
-            let params = match flags.get("delta") {
-                Some(d) => {
-                    let delta = Delta::new(parse(d, "delta")?).map_err(|e| e.to_string())?;
-                    mechanisms::AllPairsBaselineParams::advanced(unit, delta)
-                        .map_err(|e| e.to_string())?
-                }
-                None => mechanisms::AllPairsBaselineParams::basic(unit),
-            };
-            calibrate_one(&mechanisms::AllPairsBaseline, &topo, &params, &target)?
-        }
-        "mst" => calibrate_one(&mechanisms::Mst, &topo, &MstParams::new(unit), &target)?,
-        "matching" => calibrate_one(
-            &mechanisms::Matching::default(),
-            &topo,
-            &MatchingParams::new(unit),
-            &target,
-        )?,
-        other => {
-            return Err(format!(
-                "unknown mechanism {other:?} (expected shortest-path, tree, hld-tree, \
-                 bounded-weight, shortcut-apsp, synthetic-graph, all-pairs-baseline, mst, \
-                 or matching)"
-            ))
-        }
+    let knobs = Knobs {
+        gamma,
+        ..knob_flags(flags, &[kind], &[Knob::Delta, Knob::MaxWeight], unit)?
     };
+    let (eps, bound) = kind
+        .dispatch(
+            &knobs,
+            Calibrate {
+                topo: &topo,
+                target: &target,
+            },
+        )
+        .map_err(dispatch_error)??;
 
     // First line is machine-readable (the serve-smoke CI step feeds it
     // back into `privpath release --eps`); details follow.
@@ -485,7 +504,6 @@ fn release(flags: &HashMap<String, String>) -> Result<(), String> {
     let weights = read_weights(BufReader::new(weights_file)).map_err(|e| e.to_string())?;
 
     let eps_v: f64 = parse(required(flags, "eps")?, "epsilon")?;
-    let gamma: f64 = flags.get("gamma").map_or(Ok(0.05), |s| parse(s, "gamma"))?;
     let seed: u64 = flags.get("seed").map_or(Ok(42), |s| parse(s, "seed"))?;
     if let Some(t) = flags.get("threads") {
         let threads: usize = parse(t, "threads")?;
@@ -506,15 +524,23 @@ fn release(flags: &HashMap<String, String>) -> Result<(), String> {
     if names.is_empty() || names.iter().any(|n| n.is_empty()) {
         return Err("--mechanism needs a comma-separated list of names".into());
     }
+    let kinds = names
+        .iter()
+        .map(|name| parse_kind(name, |k| k.is_storable()))
+        .collect::<Result<Vec<_>, _>>()?;
     // Each mechanism writes to a name-derived output path, so a repeat
     // would overwrite its own earlier release while double-spending.
-    for (i, name) in names.iter().enumerate() {
-        if names[..i].contains(name) {
-            return Err(format!("duplicate mechanism {name:?} in --mechanism"));
+    for (i, kind) in kinds.iter().enumerate() {
+        if kinds[..i].contains(kind) {
+            return Err(format!(
+                "duplicate mechanism {:?} in --mechanism",
+                kind.as_str()
+            ));
         }
     }
-
     let eps = Epsilon::new(eps_v).map_err(|e| e.to_string())?;
+    let knobs = knob_flags(flags, &kinds, &Knob::ALL, eps)?;
+
     let mut engine = match flags.get("budget-eps") {
         Some(be) => {
             let be = Epsilon::new(parse(be, "budget epsilon")?).map_err(|e| e.to_string())?;
@@ -537,76 +563,21 @@ fn release(flags: &HashMap<String, String>) -> Result<(), String> {
 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut saved: Vec<(ReleaseId, String)> = Vec::new();
-    for name in &names {
-        let id = match *name {
-            "shortest-path" => {
-                let params = ShortestPathParams::new(eps, gamma).map_err(|e| e.to_string())?;
-                engine.release(&mechanisms::ShortestPaths, &params, &mut rng)
-            }
-            "tree" => {
-                let params = TreeDistanceParams::new(eps);
-                engine.release(&mechanisms::TreeAllPairs, &params, &mut rng)
-            }
-            "synthetic-graph" => {
-                let params = mechanisms::SyntheticGraphParams::new(eps);
-                engine.release(&mechanisms::SyntheticGraph, &params, &mut rng)
-            }
-            "bounded-weight" => {
-                let max_weight: f64 = parse(
-                    required(flags, "max-weight")
-                        .map_err(|_| "--mechanism bounded-weight needs --max-weight".to_string())?,
-                    "max weight",
-                )?;
-                let params = match flags.get("delta") {
-                    Some(d) => {
-                        let delta = Delta::new(parse(d, "delta")?).map_err(|e| e.to_string())?;
-                        BoundedWeightParams::approx(eps, delta, max_weight)
-                    }
-                    None => BoundedWeightParams::pure(eps, max_weight),
-                }
-                .map_err(|e| e.to_string())?;
-                engine.release(&mechanisms::BoundedWeight, &params, &mut rng)
-            }
-            "all-pairs-baseline" => {
-                let params = match flags.get("delta") {
-                    Some(d) => {
-                        let delta = Delta::new(parse(d, "delta")?).map_err(|e| e.to_string())?;
-                        mechanisms::AllPairsBaselineParams::advanced(eps, delta)
-                            .map_err(|e| e.to_string())?
-                    }
-                    None => mechanisms::AllPairsBaselineParams::basic(eps),
-                };
-                engine.release(&mechanisms::AllPairsBaseline, &params, &mut rng)
-            }
-            "shortcut-apsp" => {
-                let max_weight: f64 = parse(
-                    required(flags, "max-weight")
-                        .map_err(|_| "--mechanism shortcut-apsp needs --max-weight".to_string())?,
-                    "max weight",
-                )?;
-                let params = match flags.get("delta") {
-                    Some(d) => {
-                        let delta = Delta::new(parse(d, "delta")?).map_err(|e| e.to_string())?;
-                        ShortcutApspParams::approx(eps, delta, max_weight)
-                    }
-                    None => ShortcutApspParams::pure(eps, max_weight),
-                }
-                .map_err(|e| e.to_string())?;
-                engine.release(&mechanisms::ShortcutApsp, &params, &mut rng)
-            }
-            other => {
-                return Err(format!(
-                    "unknown mechanism {other:?} (expected shortest-path, tree, \
-                     bounded-weight, shortcut-apsp, synthetic-graph, or all-pairs-baseline)"
-                ))
-            }
-        }
-        .map_err(|e| e.to_string())?;
+    for kind in &kinds {
+        let id = kind
+            .dispatch(
+                &knobs,
+                Release {
+                    engine: &mut engine,
+                    rng: &mut rng,
+                },
+            )
+            .map_err(dispatch_error)??;
 
-        let path = if names.len() == 1 {
+        let path = if kinds.len() == 1 {
             out.to_string()
         } else {
-            format!("{out}.{name}.release")
+            format!("{out}.{kind}.release")
         };
         let mut f = BufWriter::new(File::create(&path).map_err(|e| e.to_string())?);
         engine.save(id, &mut f).map_err(|e| e.to_string())?;

@@ -106,7 +106,6 @@ pub mod prelude {
         private_matching, private_matching_objective, MatchingObjective, MatchingParams,
     };
     pub use privpath_core::mst::{private_mst, MstParams};
-    pub use privpath_core::persist::{read_shortest_path_release, write_shortest_path_release};
     pub use privpath_core::shortcut::{shortcut_apsp, ShortcutApspParams, ShortcutApspRelease};
     pub use privpath_core::shortest_path::{
         private_shortest_paths, ShortestPathParams, ShortestPathRelease,

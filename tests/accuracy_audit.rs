@@ -6,9 +6,11 @@
 //! (max distance error for distance mechanisms, weight excess over the
 //! exact optimum for MST/matching), and asserts the declared
 //! `error_bound(GAMMA)` holds at empirical rate at least `1 - GAMMA`
-//! across [`TRIALS`] seeded trials. The dispatch is an exhaustive match
-//! on [`ReleaseKind`]: adding a mechanism without adding its audit entry
-//! fails to compile, which the `tests-audit` CI job then catches.
+//! across [`TRIALS`] seeded trials. The audit iterates
+//! [`ReleaseKind::ALL`] through an exhaustive match on the kind: adding
+//! a mechanism without adding its audit entry fails to compile, and
+//! every entry `expect`s a declared contract, so a kind without one
+//! fails at runtime — the `tests-audit` CI job catches both.
 //!
 //! Live-store re-releases are audited the same way: an `update-weights`
 //! pass re-runs every release against fresh weights, and
@@ -306,39 +308,27 @@ fn run_audit(kind: ReleaseKind, trials: usize) -> AuditOutcome {
     }
 }
 
-/// Every release kind, by stable name — the audit's coverage roster.
-const ALL_KINDS: [&str; 9] = [
-    "shortest-path",
-    "tree",
-    "hld-tree",
-    "bounded-weight",
-    "mst",
-    "matching",
-    "synthetic-graph",
-    "all-pairs-baseline",
-    "shortcut-apsp",
-];
-
+/// The audit's coverage roster is the kind table itself: every name
+/// parses back to its kind, and no two kinds share a name.
 #[test]
 fn audit_roster_is_complete_and_unique() {
-    for name in ALL_KINDS {
+    for (i, kind) in ReleaseKind::ALL.iter().enumerate() {
+        assert_eq!(ReleaseKind::parse(kind.as_str()), Some(*kind));
         assert!(
-            ReleaseKind::parse(name).is_some(),
-            "roster entry {name:?} is not a release kind"
+            ReleaseKind::ALL[..i]
+                .iter()
+                .all(|other| other.as_str() != kind.as_str()),
+            "duplicate kind name {kind}"
         );
-    }
-    for (i, a) in ALL_KINDS.iter().enumerate() {
-        assert!(!ALL_KINDS[..i].contains(a), "duplicate roster entry {a:?}");
     }
 }
 
 #[test]
 fn every_mechanism_meets_its_declared_bound_empirically() {
-    for name in ALL_KINDS {
-        let kind = ReleaseKind::parse(name).expect("roster is valid");
+    for kind in ReleaseKind::ALL {
         let outcome = run_audit(kind, TRIALS);
-        println!("{name} — {outcome}");
-        outcome.assert_rate(name);
+        println!("{kind} — {outcome}");
+        outcome.assert_rate(kind.as_str());
     }
 }
 
@@ -473,31 +463,32 @@ fn run_rerelease_audit(kind: ReleaseKind, trials: usize) -> Option<AuditOutcome>
 /// first release.
 #[test]
 fn store_rerelease_meets_declared_bound_empirically() {
-    let mut audited = 0;
-    for name in ALL_KINDS {
-        let kind = ReleaseKind::parse(name).expect("roster is valid");
-        if let Some(outcome) = run_rerelease_audit(kind, 30) {
-            println!("rerelease {name} — {outcome}");
-            outcome.assert_rate(&format!("rerelease {name}"));
-            audited += 1;
+    for kind in ReleaseKind::ALL {
+        let outcome = run_rerelease_audit(kind, 30);
+        assert_eq!(
+            outcome.is_some(),
+            kind.is_storable(),
+            "{kind}: every storable kind, and only those, is re-release audited"
+        );
+        if let Some(outcome) = outcome {
+            println!("rerelease {kind} — {outcome}");
+            outcome.assert_rate(&format!("rerelease {kind}"));
         }
     }
-    assert_eq!(audited, 6, "every storable kind must be re-release audited");
 }
 
 /// The kinds the re-release audit skips are exactly the kinds the store
 /// refuses to hold — nothing can ship through the store unaudited.
 #[test]
 fn store_refuses_unstorable_kinds() {
-    for kind in [
-        ReleaseKind::HldTree,
-        ReleaseKind::Mst,
-        ReleaseKind::Matching,
-    ] {
-        assert!(matches!(
-            ReleaseSpec::new(kind, eps(1.0)),
-            Err(StoreError::InvalidSpec(_))
-        ));
+    for kind in ReleaseKind::ALL {
+        match ReleaseSpec::new(kind, eps(1.0)) {
+            Ok(_) => assert!(kind.is_storable(), "{kind}"),
+            Err(e) => assert!(
+                !kind.is_storable() && matches!(e, StoreError::InvalidSpec(_)),
+                "{kind}: {e}"
+            ),
+        }
     }
 }
 

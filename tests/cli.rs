@@ -306,6 +306,24 @@ fn duplicate_mechanism_and_dangling_budget_delta_rejected() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("duplicate mechanism"), "{stderr}");
 
+    // A knob no listed mechanism takes is refused, not silently dropped.
+    let mut args = base.to_vec();
+    args.extend([
+        "--mechanism",
+        "shortest-path",
+        "--delta",
+        "1e-6",
+        "--max-weight",
+        "3",
+    ]);
+    let out = Command::new(bin()).args(&args).output().expect("spawn");
+    assert!(!out.status.success(), "misplaced knobs accepted");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--delta applies to none of the listed mechanisms"),
+        "{stderr}"
+    );
+
     // --budget-delta without --budget-eps enforces nothing; refuse it.
     let mut args = base.to_vec();
     args.extend(["--budget-delta", "1e-6"]);
@@ -715,6 +733,20 @@ fn calibrate_rejects_bad_targets_and_mechanisms() {
             "10",
             "--mechanism",
             "bounded-weight",
+        ],
+        // knobs the tree mechanism does not take
+        vec![
+            "calibrate",
+            "--topo",
+            topo.as_str(),
+            "--target-alpha",
+            "10",
+            "--mechanism",
+            "tree",
+            "--delta",
+            "1e-6",
+            "--max-weight",
+            "5",
         ],
     ] {
         let out = Command::new(bin())

@@ -621,29 +621,6 @@ fn persistence_roundtrips_preserve_answers() {
 }
 
 #[test]
-fn legacy_v1_release_files_still_load() {
-    let (topo, w) = graph_workload(20, 50, 23);
-    let mut rng = StdRng::seed_from_u64(24);
-    let params = ShortestPathParams::new(eps(0.7), 0.05).unwrap();
-    let release = private_shortest_paths(&topo, &w, &params, &mut rng).unwrap();
-    let mut buf = Vec::new();
-    write_shortest_path_release(&mut buf, &release).unwrap();
-
-    let stored = read_release(BufReader::new(buf.as_slice())).unwrap();
-    assert_eq!(stored.release.kind(), ReleaseKind::ShortestPath);
-    assert_eq!(stored.eps, 0.7);
-    let oracle = stored.release.as_distance().unwrap();
-    let d = oracle.distance(NodeId::new(0), NodeId::new(19)).unwrap();
-    assert_eq!(
-        d.to_bits(),
-        release
-            .estimated_distance(NodeId::new(0), NodeId::new(19))
-            .unwrap()
-            .to_bits()
-    );
-}
-
-#[test]
 fn restore_debits_the_adopting_engine() {
     let (topo, w) = graph_workload(20, 50, 25);
     let mut rng = StdRng::seed_from_u64(26);
@@ -1010,18 +987,6 @@ fn persistence_round_trips_the_accuracy_contract() {
             "{} contract did not round-trip",
             record.kind()
         );
-
-        // A v2 file (header downgraded, accuracy line dropped) still
-        // loads — with no contract.
-        let v2 = text
-            .replacen("privpath-release v3", "privpath-release v2", 1)
-            .lines()
-            .filter(|l| !l.starts_with("accuracy "))
-            .map(|l| format!("{l}\n"))
-            .collect::<String>();
-        let legacy = read_release(BufReader::new(v2.as_bytes())).unwrap();
-        assert!(legacy.accuracy.is_none());
-        assert_eq!(legacy.eps, stored.eps);
     }
 }
 
