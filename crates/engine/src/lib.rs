@@ -97,7 +97,7 @@ mod service;
 pub use engine::{ParseReleaseIdError, ReleaseEngine, ReleaseId, ReleaseRecord};
 pub use error::EngineError;
 pub use mechanism::{Mechanism, PrivacyCost};
-pub use persist::{read_release, write_release, StoredRelease};
+pub use persist::{read_release, write_release, SharedTopology, StoredRelease};
 pub use plan::BudgetPlan;
 pub use release::{AnyRelease, DistanceRelease, Knob, Knobs, MechanismVisitor, ReleaseKind};
 pub use service::QueryService;

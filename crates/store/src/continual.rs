@@ -16,19 +16,34 @@
 //! The composer's full state (per-level raw and noisy vectors) persists
 //! to an epoch-suffixed `continual.e<epoch>.state` file written before
 //! the manifest rename, so the rename atomically commits the stream
-//! position together with the ledger and release files.
+//! position together with the ledger and release files. The file is
+//! text header lines plus one binary body (see [`privpath_graph::io`]):
+//!
+//! ```text
+//! privpath-continual-state v2
+//! horizon <u64>
+//! rho-total <f64>
+//! delta <f64>
+//! dim <usize>
+//! items <u64>
+//! levels <u32>
+//! level <j> empty | level <j> full       (levels times)
+//! body <bytes> <checksum>
+//! <raw then noisy vector of each full level, little-endian f64>
+//! ```
 
 use crate::error::StoreError;
 use crate::manifest::atomic_write;
 use privpath_core::bounds::AccuracyContract;
 use privpath_dp::continual::{levels_used, TreeComposer};
 use privpath_dp::zcdp::zcdp_epsilon;
+use privpath_graph::io::{put_f64s, read_body, take_f64s, write_body};
 use privpath_graph::EdgeWeights;
 use std::fs::File;
-use std::io::Read;
+use std::io::{BufRead, BufReader};
 use std::path::Path;
 
-const STATE_HEADER: &str = "privpath-continual-state v1";
+const STATE_HEADER: &str = "privpath-continual-state v2";
 
 /// The tree-state file name at one epoch (write-once, like release
 /// files: a crash mid-generation leaves the old state referenced).
@@ -163,7 +178,7 @@ impl ContinualState {
     }
 
     /// Renders the state file.
-    fn render(&self) -> String {
+    fn render(&self) -> Vec<u8> {
         let mut out = String::new();
         out.push_str(STATE_HEADER);
         out.push('\n');
@@ -173,48 +188,49 @@ impl ContinualState {
         out.push_str(&format!("dim {}\n", self.composer.dim()));
         out.push_str(&format!("items {}\n", self.composer.items()));
         out.push_str(&format!("levels {}\n", self.composer.levels()));
+        let mut body = Vec::new();
         for j in 0..self.composer.levels() {
             match self.composer.level_state(j) {
                 None => out.push_str(&format!("level {j} empty\n")),
                 Some((raw, noisy)) => {
-                    out.push_str(&format!("level {j}"));
-                    for v in raw.iter().chain(noisy) {
-                        out.push_str(&format!(" {v:?}"));
-                    }
-                    out.push('\n');
+                    out.push_str(&format!("level {j} full\n"));
+                    put_f64s(&mut body, raw);
+                    put_f64s(&mut body, noisy);
                 }
             }
         }
-        out
+        let mut bytes = out.into_bytes();
+        // Writing into a `Vec` cannot fail.
+        let _ = write_body(&mut bytes, &body);
+        bytes
     }
 
     /// Writes the state file atomically at `dir/file`.
     pub fn write_state(&self, dir: &Path, file: &str) -> Result<(), StoreError> {
-        atomic_write(&dir.join(file), self.render().as_bytes())
+        atomic_write(&dir.join(file), &self.render())
     }
 
     /// Reads a state file back; `dim` cross-checks the namespace's edge
     /// count so a mismatched file is rejected rather than served.
     pub fn read_state(dir: &Path, file: &str, dim: usize) -> Result<Self, StoreError> {
         let path = dir.join(file);
-        let mut text = String::new();
-        File::open(&path)
-            .and_then(|mut f| f.read_to_string(&mut text))
-            .map_err(|e| StoreError::io(&path, e))?;
-        Self::parse(&text, dim).map_err(|msg| StoreError::manifest(&path, msg))
+        let input = BufReader::new(File::open(&path).map_err(|e| StoreError::io(&path, e))?);
+        Self::parse(input, dim).map_err(|msg| StoreError::manifest(&path, msg))
     }
 
-    fn parse(text: &str, expect_dim: usize) -> Result<Self, String> {
-        let mut lines = text.lines();
-        let mut next = |what: &str| -> Result<&str, String> {
-            lines
-                .next()
-                .ok_or_else(|| format!("unexpected end of state file, expected {what}"))
+    fn parse(mut input: impl BufRead, expect_dim: usize) -> Result<Self, String> {
+        let mut next = |what: &str| -> Result<String, String> {
+            let mut line = String::new();
+            match input.read_line(&mut line) {
+                Ok(0) => Err(format!("unexpected end of state file, expected {what}")),
+                Ok(_) => Ok(line.trim_end().to_string()),
+                Err(e) => Err(e.to_string()),
+            }
         };
         if next("header")? != STATE_HEADER {
             return Err(format!("bad header (expected {STATE_HEADER:?})"));
         }
-        let field = |line: &str, key: &str| -> Result<String, String> {
+        let field = |line: String, key: &str| -> Result<String, String> {
             line.strip_prefix(key)
                 .and_then(|s| s.strip_prefix(' '))
                 .map(|s| s.trim().to_string())
@@ -243,38 +259,8 @@ impl ContinualState {
         let levels: u32 = field(next("levels")?, "levels")?
             .parse()
             .map_err(|_| "invalid levels")?;
-        let mut slots: Vec<Option<(Vec<f64>, Vec<f64>)>> = Vec::with_capacity(levels as usize);
-        for j in 0..levels {
-            let line = next("level")?;
-            let rest = line
-                .strip_prefix(&format!("level {j}"))
-                .ok_or_else(|| format!("expected `level {j} ...`"))?;
-            let rest = rest.trim();
-            if rest == "empty" {
-                slots.push(None);
-                continue;
-            }
-            let values: Vec<f64> = rest
-                .split_whitespace()
-                .map(|t| t.parse::<f64>().map_err(|_| format!("bad float {t:?}")))
-                .collect::<Result<_, _>>()?;
-            if values.len() != 2 * dim {
-                return Err(format!(
-                    "level {j} has {} values, expected {}",
-                    values.len(),
-                    2 * dim
-                ));
-            }
-            let (raw, noisy) = values.split_at(dim);
-            slots.push(Some((raw.to_vec(), noisy.to_vec())));
-        }
-        if let Some(extra) = lines.next() {
-            if !extra.trim().is_empty() {
-                return Err(format!("unexpected trailing line {extra:?}"));
-            }
-        }
-        // Re-derive the composer invariants through the same constructor
-        // path as a fresh stream, then install the persisted slots.
+        // The horizon fixes the level count; check it before trusting
+        // `levels` to size anything.
         let template =
             ContinualState::new(horizon, rho_total, delta, dim).map_err(|e| e.to_string())?;
         if template.composer.levels() != levels {
@@ -283,6 +269,34 @@ impl ContinualState {
                 template.composer.levels()
             ));
         }
+        let mut full = Vec::with_capacity(levels as usize);
+        for j in 0..levels {
+            let line = next("level")?;
+            match line.strip_prefix(&format!("level {j} ")) {
+                Some("empty") => full.push(false),
+                Some("full") => full.push(true),
+                _ => return Err(format!("expected `level {j} empty|full`, got {line:?}")),
+            }
+        }
+        let vectors = full.iter().filter(|&&f| f).count();
+        let body = read_body(
+            &mut input,
+            dim.checked_mul(16).and_then(|b| b.checked_mul(vectors)),
+        )
+        .map_err(|e| e.to_string())?;
+        let mut rest = body.as_slice();
+        let mut slots: Vec<Option<(Vec<f64>, Vec<f64>)>> = Vec::with_capacity(full.len());
+        for is_full in full {
+            slots.push(if is_full {
+                let raw = take_f64s(&mut rest, dim).map_err(|e| e.to_string())?;
+                let noisy = take_f64s(&mut rest, dim).map_err(|e| e.to_string())?;
+                Some((raw, noisy))
+            } else {
+                None
+            });
+        }
+        // The composer invariants come from the same constructor path as
+        // a fresh stream (`template`); install the persisted slots.
         let composer = TreeComposer::restore(
             dim,
             horizon + 1,

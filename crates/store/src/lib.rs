@@ -22,10 +22,13 @@
 //!   re-run every live release against fresh weights, debiting the
 //!   namespace budget through the engine's check-before-noise
 //!   accounting.
-//! * **Crash-safe persistence** — per-namespace manifest plus `v3`
-//!   release files, written temp-then-rename with fsync;
-//!   [`ReleaseStore::open`] replays the manifest (ledger first, then
-//!   releases) and discards unreferenced crash leftovers.
+//! * **Crash-safe persistence** — per-namespace manifest plus
+//!   generation-suffixed binary files (`v4` releases naming the
+//!   write-once topology by checksum, private weights, continual tree
+//!   state), written temp-then-rename with fsync ahead of the manifest
+//!   rename that commits them; [`ReleaseStore::open`] replays the
+//!   manifest (ledger first, then weights and releases) and discards
+//!   unreferenced crash leftovers.
 //! * **Read-path source cache** — each snapshot carries a sharded
 //!   `(release, source)` → distance-vector cache, so repeated-source
 //!   workloads skip recomputation; epoch bumps invalidate structurally

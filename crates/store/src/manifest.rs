@@ -6,16 +6,18 @@
 //! manifest: the budget and the full spend ledger come back first (they
 //! are the privacy source of truth — they cover spends on records since
 //! replaced by `update-weights` or dropped, which the release files alone
-//! cannot reconstruct), then the referenced release files are attached
-//! without re-debiting. Files in the directory that the manifest does not
-//! reference (a crash between a release-file rename and the manifest
-//! rename) are deleted on open — the noise they hold is never served.
+//! cannot reconstruct), then the referenced weights and release files are
+//! attached without re-debiting. Files in the directory that the manifest
+//! does not reference (a crash between a file rename and the manifest
+//! rename) are deleted on open — the noise and weights they hold are
+//! never served.
 //!
 //! ```text
-//! privpath-store-manifest v1
+//! privpath-store-manifest v2
 //! namespace <name>
 //! epoch <u64>
 //! budget eps <f64> delta <f64>   |   budget unbounded
+//! weights file <name>
 //! continual horizon <u64> rho-total <f64> delta <f64> file <name>   (optional)
 //! geo file <name>                                                   (optional)
 //! spends <count>
@@ -24,14 +26,20 @@
 //! release <id> <filename> <spec tokens>          (count times)
 //! ```
 //!
-//! The `continual` line (absent for standard namespaces, so v1 manifests
-//! parse unchanged) pins the stream's privacy configuration and names the
-//! epoch-suffixed tree-state file; the state file itself is written
-//! before the manifest rename, so the rename atomically commits both.
-//! The `geo` line (absent for non-geo namespaces, same compatibility
-//! argument) names the spatial-index artifact built from the public node
-//! coordinates; the index is epoch-invariant (coordinates never change),
-//! written once at namespace creation before the first manifest rename.
+//! The `weights` line names the epoch-suffixed private-weights file
+//! (binary `privpath-weights v2`); like the release files it is written
+//! before the manifest rename, so the rename commits new weights,
+//! releases and ledger together. A `privpath-store-manifest v1`
+//! manifest, whose namespace kept its weights in one text file renamed in
+//! place, is refused with `bad header`.
+//!
+//! The `continual` line (absent for standard namespaces) pins the
+//! stream's privacy configuration and names the epoch-suffixed
+//! tree-state file, written before the manifest rename like the weights.
+//! The `geo` line (absent for non-geo namespaces) names the spatial-index
+//! artifact built from the public node coordinates; the index is
+//! epoch-invariant (coordinates never change), written once at namespace
+//! creation before the first manifest rename.
 
 use crate::error::StoreError;
 use crate::spec::ReleaseSpec;
@@ -39,14 +47,12 @@ use std::fs::{self, File};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
-const HEADER: &str = "privpath-store-manifest v1";
+const HEADER: &str = "privpath-store-manifest v2";
 
 /// The manifest file name inside a namespace directory.
 pub(crate) const MANIFEST_FILE: &str = "manifest";
 /// The public-topology file name inside a namespace directory.
 pub(crate) const TOPOLOGY_FILE: &str = "topology";
-/// The private-weights file name inside a namespace directory.
-pub(crate) const WEIGHTS_FILE: &str = "weights";
 /// The spatial-index file name inside a geo namespace directory. The
 /// index covers public coordinates only and never changes after
 /// creation, so (unlike release files) it needs no epoch suffix.
@@ -59,6 +65,13 @@ pub(crate) const GEO_INDEX_FILE: &str = "geo.index";
 /// files untouched and still referenced, never a half-overwritten mix.
 pub(crate) fn release_file_name(id: u64, epoch: u64) -> String {
     format!("r{id}.e{epoch}.release")
+}
+
+/// The private-weights file name at one epoch: write-once and
+/// generation-suffixed like release files, so a crash before the
+/// manifest rename leaves the old weights referenced and untouched.
+pub(crate) fn weights_file_name(epoch: u64) -> String {
+    format!("weights.e{epoch}")
 }
 
 /// The continual-mode configuration a manifest pins for a namespace.
@@ -82,6 +95,8 @@ pub(crate) struct ManifestData {
     /// The namespace's total `(eps, delta)` budget, or `None` when
     /// unbounded.
     pub budget: Option<(f64, f64)>,
+    /// The private-weights file this manifest references.
+    pub weights: String,
     /// Continual-mode configuration, or `None` for a standard namespace.
     pub continual: Option<ContinualManifest>,
     /// The spatial-index file this namespace owns, or `None` when the
@@ -139,6 +154,7 @@ fn render(data: &ManifestData) -> String {
         Some((e, d)) => out.push_str(&format!("budget eps {} delta {}\n", fmt_f64(e), fmt_f64(d))),
         None => out.push_str("budget unbounded\n"),
     }
+    out.push_str(&format!("weights file {}\n", data.weights));
     if let Some(c) = &data.continual {
         out.push_str(&format!(
             "continual horizon {} rho-total {} delta {} file {}\n",
@@ -217,6 +233,12 @@ fn parse(text: &str) -> Result<ManifestData, String> {
             .map_err(|_| "invalid budget delta")?;
         Some((eps, delta))
     };
+    let weights = next("weights")?
+        .strip_prefix("weights file ")
+        .map(str::trim)
+        .filter(|f| !f.is_empty())
+        .ok_or("expected `weights file <name>`")?
+        .to_string();
 
     let mut spends_line = next("spends")?;
     let continual = if let Some(rest) = spends_line.strip_prefix("continual ") {
@@ -322,6 +344,7 @@ fn parse(text: &str) -> Result<ManifestData, String> {
         namespace,
         epoch,
         budget,
+        weights,
         continual,
         geo,
         spends,
@@ -341,6 +364,7 @@ mod tests {
             namespace: "metro".into(),
             epoch: 7,
             budget: Some((4.0, 1e-6)),
+            weights: weights_file_name(7),
             continual: None,
             geo: None,
             spends: vec![
@@ -409,6 +433,16 @@ mod tests {
         let good = render(&data);
         let bad = good.replace("geo file ", "geo file\n");
         assert!(parse(&bad).is_err());
+    }
+
+    #[test]
+    fn weights_line_is_required_and_v1_is_refused() {
+        let text = render(&sample());
+        assert!(text.contains("\nweights file weights.e7\n"));
+        let missing = text.replace("weights file weights.e7\n", "");
+        assert!(parse(&missing).unwrap_err().contains("weights file"));
+        let v1 = text.replace("manifest v2", "manifest v1");
+        assert!(parse(&v1).unwrap_err().starts_with("bad header"));
     }
 
     #[test]

@@ -26,16 +26,21 @@ use crate::cache::{CacheCounters, SourceCache};
 use crate::continual::{state_file_name, ContinualState, ContinualStatus};
 use crate::error::StoreError;
 use crate::manifest::{
-    atomic_write, read_manifest, release_file_name, write_manifest, ContinualManifest,
-    ManifestData, GEO_INDEX_FILE, MANIFEST_FILE, TOPOLOGY_FILE, WEIGHTS_FILE,
+    atomic_write, read_manifest, release_file_name, weights_file_name, write_manifest,
+    ContinualManifest, ManifestData, GEO_INDEX_FILE, MANIFEST_FILE, TOPOLOGY_FILE,
 };
 use crate::spec::{ReleaseSpec, StagedRelease};
 use privpath_core::model::WeightUpdate;
 use privpath_dp::zcdp::max_rho_for_epsilon;
 use privpath_dp::{Accountant, Delta, Epsilon, RngNoise, ZeroNoise};
-use privpath_engine::{EngineError, QueryService, ReleaseEngine, ReleaseId};
+use privpath_engine::{
+    AccuracyContract, AnyRelease, EngineError, QueryService, ReleaseEngine, ReleaseId,
+    SharedTopology,
+};
 use privpath_geo::{GeoPoint, SpatialIndex};
-use privpath_graph::io::{read_topology, read_weights, write_topology, write_weights};
+use privpath_graph::io::{
+    checksum64, read_topology, read_weights_binary, write_topology, write_weights_binary,
+};
 use privpath_graph::{EdgeId, EdgeWeights, NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -324,6 +329,11 @@ struct NamespaceWriter {
     specs: BTreeMap<u64, SpecEntry>,
     epoch: u64,
     budget: Option<(f64, f64)>,
+    /// The checksum of the namespace's write-once topology file, which
+    /// every release file names instead of embedding the topology.
+    topology_checksum: u64,
+    /// The private-weights file the on-disk manifest references.
+    weights_file: String,
     /// Continual mode: the tree-composer state plus the name of the
     /// state file the on-disk manifest currently references.
     continual: Option<(ContinualState, String)>,
@@ -339,6 +349,7 @@ impl NamespaceWriter {
             namespace: self.name.clone(),
             epoch: self.epoch,
             budget: self.budget,
+            weights: self.weights_file.clone(),
             continual: self
                 .continual
                 .as_ref()
@@ -364,11 +375,63 @@ impl NamespaceWriter {
         }
     }
 
-    /// Writes the engine's record at `id` to `file` (temp+fsync+rename).
-    fn write_record_file(&self, id: ReleaseId, file: &str) -> Result<(), StoreError> {
+    /// Writes one release to a (new, generation-suffixed) file that
+    /// names the namespace topology (temp+fsync+rename).
+    fn write_release_file(
+        &self,
+        file: &str,
+        label: &str,
+        (eps, delta): (f64, f64),
+        accuracy: Option<&AccuracyContract>,
+        release: &AnyRelease,
+    ) -> Result<(), StoreError> {
         let mut bytes = Vec::new();
-        self.engine.save(id, &mut bytes)?;
+        privpath_engine::write_release(
+            &mut bytes,
+            label,
+            eps,
+            delta,
+            accuracy,
+            release,
+            Some(SharedTopology {
+                topology: self.engine.topology(),
+                checksum: self.topology_checksum,
+            }),
+        )?;
         atomic_write(&self.dir.join(file), &bytes)
+    }
+
+    /// Writes the engine's record at `id` to `file`.
+    fn write_record_file(&self, id: ReleaseId, file: &str) -> Result<(), StoreError> {
+        let record = self
+            .engine
+            .get(id)
+            .ok_or(EngineError::UnknownRelease(id.value()))?;
+        let cost = (record.eps(), record.delta());
+        self.write_release_file(
+            file,
+            record.label(),
+            cost,
+            record.accuracy(),
+            record.release(),
+        )
+    }
+
+    /// Writes a staged release to `file`.
+    fn write_staged(&self, file: &str, label: &str, s: &StagedRelease) -> Result<(), StoreError> {
+        let cost = (s.eps, s.delta);
+        self.write_release_file(file, label, cost, s.accuracy.as_ref(), &s.release)
+    }
+
+    /// Writes `weights` to the (new) weights file of `epoch` and returns
+    /// its name; the manifest rename commits it.
+    fn write_weights_file(&self, weights: &EdgeWeights, epoch: u64) -> Result<String, StoreError> {
+        let file = weights_file_name(epoch);
+        let path = self.dir.join(&file);
+        let mut bytes = Vec::new();
+        write_weights_binary(&mut bytes, weights).map_err(|e| StoreError::io(&path, e))?;
+        atomic_write(&path, &bytes)?;
+        Ok(file)
     }
 
     /// Pre-checks a prospective total spend against the budget so no
@@ -396,23 +459,14 @@ impl NamespaceWriter {
     }
 }
 
-/// Writes a staged release to a (new, generation-suffixed) file.
-fn write_staged(
-    dir: &Path,
-    file: &str,
-    label: &str,
-    staged: &StagedRelease,
-) -> Result<(), StoreError> {
+/// Writes a namespace's write-once topology file and returns its
+/// checksum, which the namespace's release files name.
+fn write_topology_file(dir: &Path, topo: &Topology) -> Result<u64, StoreError> {
+    let path = dir.join(TOPOLOGY_FILE);
     let mut bytes = Vec::new();
-    privpath_engine::write_release(
-        &mut bytes,
-        label,
-        staged.eps,
-        staged.delta,
-        staged.accuracy.as_ref(),
-        &staged.release,
-    )?;
-    atomic_write(&dir.join(file), &bytes)
+    write_topology(&mut bytes, topo).map_err(|e| StoreError::io(&path, e))?;
+    atomic_write(&path, &bytes)?;
+    Ok(checksum64(&bytes))
 }
 
 /// One namespace: the serialized writer plus the hot-swapped snapshot.
@@ -631,24 +685,20 @@ impl ReleaseStore {
         };
         let engine = ReleaseEngine::with_accountant(topo, weights, accountant)?;
         fs::create_dir_all(&dir).map_err(|e| StoreError::io(&dir, e))?;
-        let writer = NamespaceWriter {
+        let topology_checksum = write_topology_file(&dir, engine.topology())?;
+        let mut writer = NamespaceWriter {
             name: name.to_string(),
             dir: dir.clone(),
             engine,
             specs: BTreeMap::new(),
             epoch: 0,
             budget: budget.map(|(e, d)| (e.value(), d.value())),
+            topology_checksum,
+            weights_file: String::new(),
             continual: None,
             geo,
         };
-        let mut topo_bytes = Vec::new();
-        write_topology(&mut topo_bytes, writer.engine.topology())
-            .map_err(|e| StoreError::io(&dir.join(TOPOLOGY_FILE), e))?;
-        atomic_write(&dir.join(TOPOLOGY_FILE), &topo_bytes)?;
-        let mut weight_bytes = Vec::new();
-        write_weights(&mut weight_bytes, writer.engine.weights())
-            .map_err(|e| StoreError::io(&dir.join(WEIGHTS_FILE), e))?;
-        atomic_write(&dir.join(WEIGHTS_FILE), &weight_bytes)?;
+        writer.weights_file = writer.write_weights_file(writer.engine.weights(), 0)?;
         // The index before the manifest that references it: a crash
         // between the two leaves an unreferenced file for GC, never a
         // manifest pointing at nothing.
@@ -730,24 +780,20 @@ impl ReleaseStore {
         fs::create_dir_all(&dir).map_err(|e| StoreError::io(&dir, e))?;
         let state_file = state_file_name(0);
         state.write_state(&dir, &state_file)?;
-        let writer = NamespaceWriter {
+        let topology_checksum = write_topology_file(&dir, engine.topology())?;
+        let mut writer = NamespaceWriter {
             name: name.to_string(),
             dir: dir.clone(),
             engine,
             specs: BTreeMap::new(),
             epoch: 0,
             budget: Some((eps.value(), delta.value())),
+            topology_checksum,
+            weights_file: String::new(),
             continual: Some((state, state_file)),
             geo: None,
         };
-        let mut topo_bytes = Vec::new();
-        write_topology(&mut topo_bytes, writer.engine.topology())
-            .map_err(|e| StoreError::io(&dir.join(TOPOLOGY_FILE), e))?;
-        atomic_write(&dir.join(TOPOLOGY_FILE), &topo_bytes)?;
-        let mut weight_bytes = Vec::new();
-        write_weights(&mut weight_bytes, writer.engine.weights())
-            .map_err(|e| StoreError::io(&dir.join(WEIGHTS_FILE), e))?;
-        atomic_write(&dir.join(WEIGHTS_FILE), &weight_bytes)?;
+        writer.weights_file = writer.write_weights_file(writer.engine.weights(), 0)?;
         writer.persist_manifest()?;
         let ns = self.namespace_from_writer(writer);
         map.insert(name.to_string(), Arc::new(ns));
@@ -946,8 +992,8 @@ impl ReleaseStore {
             staged.push((id, release_file_name(id, new_epoch), label, s));
         }
 
-        // Phase 2 — persist the new generation under write-once names
-        // (old files untouched), then the weights. An abort here deletes
+        // Phase 2 — persist the new generation, weights included, under
+        // write-once names (old files untouched). An abort here deletes
         // the shadows and leaves memory and the manifest as they were.
         let abort_files = |w: &NamespaceWriter, upto: &[(u64, String, String, StagedRelease)]| {
             for (_, file, _, _) in upto {
@@ -956,18 +1002,18 @@ impl ReleaseStore {
         };
         for i in 0..staged.len() {
             let (_, file, label, s) = &staged[i];
-            if let Err(e) = write_staged(&w.dir, file, label, s) {
+            if let Err(e) = w.write_staged(file, label, s) {
                 abort_files(&w, &staged[..=i]);
                 return Err(e);
             }
         }
-        let mut weight_bytes = Vec::new();
-        write_weights(&mut weight_bytes, &new_weights)
-            .map_err(|e| StoreError::io(&w.dir.join(WEIGHTS_FILE), e))?;
-        if let Err(e) = atomic_write(&w.dir.join(WEIGHTS_FILE), &weight_bytes) {
-            abort_files(&w, &staged);
-            return Err(e);
-        }
+        let weights_file = match w.write_weights_file(&new_weights, new_epoch) {
+            Ok(file) => file,
+            Err(e) => {
+                abort_files(&w, &staged);
+                return Err(e);
+            }
+        };
 
         // Phase 3 — install and commit: registry + ledger, then the
         // manifest rename (the commit point), then GC the old files.
@@ -990,6 +1036,7 @@ impl ReleaseStore {
             let entry = w.specs.get_mut(&id).expect("staged from the spec map");
             old_files.push(std::mem::replace(&mut entry.file, file));
         }
+        old_files.push(std::mem::replace(&mut w.weights_file, weights_file));
         w.epoch = new_epoch;
         w.persist_manifest()?;
         for file in old_files {
@@ -1018,9 +1065,10 @@ impl ReleaseStore {
     /// live release is re-staged as exact post-processing of the new
     /// tree estimate, and the ledger is debited only by the telescoped
     /// increment (zero except when the stream crosses a power of two).
-    /// The tree state persists to a write-once epoch-suffixed file
-    /// before the manifest rename, so the rename atomically commits
-    /// stream position, ledger, and releases together.
+    /// The tree state and the private weights persist to write-once
+    /// epoch-suffixed files before the manifest rename, so the rename
+    /// atomically commits stream position, weights, ledger and releases
+    /// together.
     fn update_weights_continual(
         &self,
         namespace: &str,
@@ -1075,6 +1123,7 @@ impl ReleaseStore {
 
         // Phase 2 — persist the shadows, the new true weights, and the
         // new tree state under write-once names (old files untouched).
+        let state_file = state_file_name(new_epoch);
         let abort_files = |w: &NamespaceWriter, upto: &[(u64, String, String, StagedRelease)]| {
             for (_, file, _, _) in upto {
                 let _ = fs::remove_file(w.dir.join(file));
@@ -1082,21 +1131,21 @@ impl ReleaseStore {
         };
         for i in 0..staged.len() {
             let (_, file, label, s) = &staged[i];
-            if let Err(e) = write_staged(&w.dir, file, label, s) {
+            if let Err(e) = w.write_staged(file, label, s) {
                 abort_files(w, &staged[..=i]);
                 return Err(e);
             }
         }
-        let mut weight_bytes = Vec::new();
-        write_weights(&mut weight_bytes, &new_weights)
-            .map_err(|e| StoreError::io(&w.dir.join(WEIGHTS_FILE), e))?;
-        if let Err(e) = atomic_write(&w.dir.join(WEIGHTS_FILE), &weight_bytes) {
-            abort_files(w, &staged);
-            return Err(e);
-        }
-        let state_file = state_file_name(new_epoch);
+        let weights_file = match w.write_weights_file(&new_weights, new_epoch) {
+            Ok(file) => file,
+            Err(e) => {
+                abort_files(w, &staged);
+                return Err(e);
+            }
+        };
         if let Err(e) = new_state.write_state(&w.dir, &state_file) {
             abort_files(w, &staged);
+            let _ = fs::remove_file(w.dir.join(&weights_file));
             let _ = fs::remove_file(w.dir.join(&state_file));
             return Err(e);
         }
@@ -1134,12 +1183,13 @@ impl ReleaseStore {
             slot.0 = new_state;
             std::mem::replace(&mut slot.1, state_file)
         };
+        old_files.push(old_state_file);
+        old_files.push(std::mem::replace(&mut w.weights_file, weights_file));
         w.epoch = new_epoch;
         w.persist_manifest()?;
         for file in old_files {
             let _ = fs::remove_file(w.dir.join(file));
         }
-        let _ = fs::remove_file(w.dir.join(&old_state_file));
         let receipt = UpdateReceipt {
             namespace: namespace.to_string(),
             epoch: w.epoch,
@@ -1440,13 +1490,15 @@ impl ReleaseStore {
             return Err(StoreError::InvalidNamespace(data.namespace));
         }
 
+        // The topology file's checksum is computed once here; every
+        // release file must name it.
         let topo_path = dir.join(TOPOLOGY_FILE);
-        let topo = read_topology(BufReader::new(
-            File::open(&topo_path).map_err(|e| StoreError::io(&topo_path, e))?,
-        ))
-        .map_err(|e| StoreError::io(&topo_path, e))?;
-        let weights_path = dir.join(WEIGHTS_FILE);
-        let weights = read_weights(BufReader::new(
+        let topo_bytes = fs::read(&topo_path).map_err(|e| StoreError::io(&topo_path, e))?;
+        let topology_checksum = checksum64(&topo_bytes);
+        let topo =
+            read_topology(topo_bytes.as_slice()).map_err(|e| StoreError::io(&topo_path, e))?;
+        let weights_path = dir.join(&data.weights);
+        let weights = read_weights_binary(BufReader::new(
             File::open(&weights_path).map_err(|e| StoreError::io(&weights_path, e))?,
         ))
         .map_err(|e| StoreError::io(&weights_path, e))?;
@@ -1529,9 +1581,14 @@ impl ReleaseStore {
         let mut specs = BTreeMap::new();
         for (id, file, spec) in &data.releases {
             let path = dir.join(file);
-            let stored = privpath_engine::read_release(BufReader::new(
-                File::open(&path).map_err(|e| StoreError::io(&path, e))?,
-            ))
+            let shared = SharedTopology {
+                topology: engine.topology(),
+                checksum: topology_checksum,
+            };
+            let stored = privpath_engine::read_release(
+                BufReader::new(File::open(&path).map_err(|e| StoreError::io(&path, e))?),
+                Some(shared),
+            )
             .map_err(|e| StoreError::io(&path, e))?;
             if stored.release.kind() != spec.kind() {
                 return Err(StoreError::manifest(
@@ -1570,8 +1627,8 @@ impl ReleaseStore {
                     || data.continual.as_ref().is_some_and(|c| c.file == name)
                     || data.geo.as_deref() == Some(name.as_str())
                     || name == MANIFEST_FILE
-                    || name == TOPOLOGY_FILE
-                    || name == WEIGHTS_FILE;
+                    || name == data.weights
+                    || name == TOPOLOGY_FILE;
                 if !referenced && path.is_file() {
                     let _ = fs::remove_file(&path);
                 }
@@ -1585,6 +1642,8 @@ impl ReleaseStore {
             specs,
             epoch: data.epoch,
             budget: data.budget,
+            topology_checksum,
+            weights_file: data.weights.clone(),
             continual,
             geo,
         };

@@ -613,7 +613,7 @@ fn release(flags: &HashMap<String, String>) -> Result<(), String> {
 
 fn load_stored(flags: &HashMap<String, String>) -> Result<StoredRelease, String> {
     let file = File::open(required(flags, "release")?).map_err(|e| e.to_string())?;
-    read_release(BufReader::new(file)).map_err(|e| e.to_string())
+    read_release(BufReader::new(file), None).map_err(|e| e.to_string())
 }
 
 fn query(flags: &HashMap<String, String>, want_route: bool) -> Result<(), String> {
@@ -772,7 +772,8 @@ fn frozen_handler(dir: &str) -> Result<StoreHandler, String> {
     for path in &paths {
         let file = File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
         stored.push(
-            read_release(BufReader::new(file)).map_err(|e| format!("{}: {e}", path.display()))?,
+            read_release(BufReader::new(file), None)
+                .map_err(|e| format!("{}: {e}", path.display()))?,
         );
     }
 

@@ -597,7 +597,7 @@ fn persistence_roundtrips_preserve_answers() {
         };
         let mut buf = Vec::new();
         eng.save(id, &mut buf).unwrap();
-        let stored = read_release(BufReader::new(buf.as_slice())).unwrap();
+        let stored = read_release(BufReader::new(buf.as_slice()), None).unwrap();
         let record = eng.get(id).unwrap();
         assert_eq!(stored.label, record.label());
         assert_eq!(stored.eps, record.eps());
@@ -977,10 +977,13 @@ fn persistence_round_trips_the_accuracy_contract() {
     for record in engine.releases() {
         let mut buf = Vec::new();
         engine.save(record.id(), &mut buf).unwrap();
-        let text = String::from_utf8(buf.clone()).unwrap();
-        assert!(text.starts_with("privpath-release v3\n"), "header bumped");
-        assert!(text.contains("\naccuracy "), "contract line missing");
-        let stored = read_release(BufReader::new(buf.as_slice())).unwrap();
+        // The header lines are text; the body after them is binary.
+        assert!(buf.starts_with(b"privpath-release v4\n"), "header bumped");
+        assert!(
+            buf.windows(10).any(|w| w == b"\naccuracy "),
+            "contract line missing"
+        );
+        let stored = read_release(BufReader::new(buf.as_slice()), None).unwrap();
         assert_eq!(
             stored.accuracy.as_ref(),
             record.accuracy(),
@@ -1129,9 +1132,8 @@ fn shortcut_persistence_roundtrips_answers_and_contract() {
         .unwrap();
     let mut buf = Vec::new();
     engine.save(id, &mut buf).unwrap();
-    let text = String::from_utf8(buf.clone()).unwrap();
-    assert!(text.starts_with("privpath-release v3\nkind shortcut-apsp\n"));
-    let stored = read_release(BufReader::new(buf.as_slice())).unwrap();
+    assert!(buf.starts_with(b"privpath-release v4\nkind shortcut-apsp\n"));
+    let stored = read_release(BufReader::new(buf.as_slice()), None).unwrap();
     assert_eq!(stored.accuracy.as_ref(), engine.get(id).unwrap().accuracy());
     let oracle = engine.query(id).unwrap();
     let restored = stored.release.as_distance().unwrap();

@@ -348,7 +348,8 @@ fn service_from_stored_assigns_sequential_ids() {
         let mut buf = Vec::new();
         if engine.save(record.id(), &mut buf).is_ok() {
             stored.push(
-                privpath::engine::read_release(std::io::BufReader::new(buf.as_slice())).unwrap(),
+                privpath::engine::read_release(std::io::BufReader::new(buf.as_slice()), None)
+                    .unwrap(),
             );
         }
     }
